@@ -9,15 +9,24 @@ engine mirrors).
 
 Our domain is Parquet tables of source-code repositories
 ``(repo, path, commit, lang, content)``.  The engine streams Arrow
-record batches through ``ray.data.Dataset.map_batches`` /
-``groupby().map_groups``, encodes every column with a lightweight codec
-(dictionary, RLE, frame-of-reference + bit-packing, FSST) chosen per
-column by a sampling auto-selector, writes one container file +
-lineage-manifest row per partition (atomic temp+rename, resumable), and
-proves round-trips bit-identical via per-row content sha256.
+record batches through a sort-free hash exchange of Ray tasks (or
+``ray.data.Dataset.map_batches`` per block), encodes every column with
+a lightweight codec (dictionary, RLE, frame-of-reference +
+bit-packing, FSST) chosen per column by a sampling auto-selector,
+writes one container file + lineage-manifest row per partition (atomic
+temp+rename, resumable), and proves round-trips bit-identical via
+per-row content sha256.
 
 Nothing here calls ``ray.init`` — callers own the Ray session.
 """
+
+import os
+
+# polars hashing (``stages.partitioner._hash_col``, ``stages.joins``)
+# runs inside one-CPU Ray workers that already saturate the node; its
+# default pool (all cores) would oversubscribe 32×32 threads.  Must be
+# set before polars' first import in the process.
+os.environ.setdefault("POLARS_MAX_THREADS", "1")
 
 __version__ = "0.1.0"
 

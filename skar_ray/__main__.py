@@ -79,7 +79,7 @@ def cmd_encode(a) -> dict:
         a.corpus,
         a.store,
         target_partition_bytes=(a.target_mb << 20) if a.target_mb else None,
-        mode=a.mode,
+        mode="hashed" if a.mode == "grouped" else a.mode,
         resume=not a.no_resume,
         profile=a.profile,
         validate=not a.no_validate,
@@ -173,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("corpus")
     s.add_argument("store")
     s.add_argument("--profile", choices=["max", "fast"], default="max")
-    s.add_argument("--mode", choices=["grouped", "hashed", "sharded"], default="hashed")
+    s.add_argument("--mode", choices=["grouped", "hashed", "sharded"], default="hashed",
+                   help="hashed: sort-free hash exchange (grouped is an alias that "
+                   "writes identical partitions); sharded: one partition per input block")
     s.add_argument("--target-mb", type=int, default=None, help="partition size target")
     s.add_argument("--no-resume", action="store_true")
     s.add_argument("--no-validate", action="store_true")

@@ -40,17 +40,16 @@ def candidates_for(t: pa.DataType) -> list[str]:
     return ["plain"]
 
 
-def _zstd(level: int | None = None) -> pa.Codec:
-    return pa.Codec("zstd", compression_level=ZSTD_LEVEL if level is None else level)
+def _zstd() -> pa.Codec:
+    return pa.Codec("zstd", compression_level=ZSTD_LEVEL)
 
 
-def page_compress(payload: bytes, level: int | None = None) -> tuple[bytes, str]:
-    """zstd the payload, keep whichever is smaller.  ``level`` defaults
-    to the skar-mirroring 9; the fast profile passes 3 (zstd frames are
-    self-describing, so decode never needs to know)."""
+def page_compress(payload: bytes) -> tuple[bytes, str]:
+    """zstd the payload at ``ZSTD_LEVEL`` (both profiles), keep
+    whichever is smaller; returns ``(blob, "zstd" | "raw")``."""
     if len(payload) == 0:
         return payload, "raw"
-    z = _zstd(level).compress(payload).to_pybytes()
+    z = _zstd().compress(payload).to_pybytes()
     if len(z) < len(payload):
         return z, "zstd"
     return payload, "raw"
@@ -153,8 +152,7 @@ def select_codec(arr: pa.Array, sample_rows: int = _SAMPLE_ROWS, fsst_table=None
     return winner, estimates
 
 
-def encode_column(arr: pa.Array, codec_name: str | None = None, fsst_table=None,
-                  page_level: int | None = None) -> Encoded:
+def encode_column(arr: pa.Array, codec_name: str | None = None, fsst_table=None) -> Encoded:
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     estimates: dict = {}
@@ -168,7 +166,7 @@ def encode_column(arr: pa.Array, codec_name: str | None = None, fsst_table=None,
         meta["n"] = len(arr)
     else:
         payload, meta = base.encode_array(arr, codec_name)
-    blob, page = page_compress(payload, page_level)
+    blob, page = page_compress(payload)
     return Encoded(
         codec=codec_name,
         meta=meta,

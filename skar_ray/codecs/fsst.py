@@ -20,21 +20,12 @@ Because the whole concatenated value buffer is encoded in one pass
 (symbols may span row boundaries — decode restores the exact byte
 stream), row boundaries are carried by the original lengths,
 FoR+bit-packed separately.  Training is vectorised (sliding-window
-``np.unique`` n-gram counting); encoding is a ``bytes.replace`` chain
-over cache-resident pieces (optionally hybridised with one
-Aho-Corasick tail scan via ``SKAR_FSST_CHAIN_K`` — see ``_CHAIN_K``);
-decoding is one Arrow binary take per escape-free segment.
+``np.unique`` n-gram counting); encoding is a pyarrow
+``replace_substring`` chain over cache-resident pieces; decoding is one
+Arrow binary take per escape-free segment.
 """
 
 from __future__ import annotations
-
-import os
-
-# The AC tail pass runs inside Ray workers that already saturate the
-# node one-core-per-worker; polars' default pool (all cores) would
-# oversubscribe 32×32 threads.  Must be set before polars' first import
-# in the process — encode_buffer imports it lazily, after this module.
-os.environ.setdefault("POLARS_MAX_THREADS", "1")
 
 import numpy as np
 import pyarrow as pa
@@ -90,8 +81,8 @@ def _window_counts(w: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
 def train_symbols(sample: bytes, max_symbols: int = MAX_SYMBOLS) -> list[bytes]:
     """Pick up to `max_symbols` byte sequences maximising estimated savings.
 
-    Multi-byte symbols are restricted to ASCII (<0x80) bytes: the fast
-    encoder's ``bytes.replace`` chain relies on inserted code bytes
+    Multi-byte symbols are restricted to ASCII (<0x80) bytes: the
+    encoder's replace chain relies on inserted code bytes
     (≥0x80) never being part of a later symbol match.  Single-byte
     symbols are allowed for frequent high bytes (saves their escape).
     """
@@ -153,7 +144,7 @@ def refine_symbols(
     savings — greedy n-gram counting overcounts overlapping candidates
     (" the" / "the " / "he t" all claim the same bytes), so many of the
     127 selected symbols realize almost nothing yet still cost one
-    C-scan ``bytes.replace`` pass per 64 KiB piece at encode time.
+    C-scan replace pass per 64 KiB piece at encode time.
 
     Returns ``(kept_symbols, chain_order)``:
     - drops the lowest-gain tail whose TOTAL realized savings is under
@@ -249,8 +240,8 @@ class SymbolTable:
     def __init__(self, symbols: list[bytes], chain: list[bytes] | None = None):
         self.symbols = symbols
         self.code_of = {s: FIRST_CODE + i for i, s in enumerate(symbols)}
-        # encoder fast path: multi-byte ASCII symbols applied as a
-        # bytes.replace chain (a replace can never match across an
+        # encoder: multi-byte ASCII symbols applied as a replace
+        # chain (a replace can never match across an
         # inserted code byte since codes are >= 0x80 and symbols are
         # pure ASCII — so ANY chain order is bit-exact; order only
         # affects ratio/speed); high single bytes mapped via LUT.
@@ -262,7 +253,6 @@ class SymbolTable:
         if chain is None:
             chain = sorted((s for s in symbols if len(s) > 1), key=len, reverse=True)
         self._multi = [(s, bytes((self.code_of[s],))) for s in chain if len(s) > 1]
-        self._ac = None  # lazily-built polars Aho-Corasick tail (encode only)
         self._hi_lut = np.arange(256, dtype=np.uint8)
         self._needs_escape = np.zeros(256, dtype=bool)
         self._needs_escape[0x80:] = True
@@ -293,59 +283,19 @@ class SymbolTable:
 
     # ------------------------------------------------------------ encode
 
-    # cache-resident piece for the replace chain; env-overridable for
-    # the scaling-contention experiments recorded in BENCH.md (the
-    # replace chain is the encode's DRAM-heaviest window — piece size
-    # trades L1/L2 residency against per-piece chain overhead)
-    _PIECE = int(os.environ.get("SKAR_FSST_PIECE", 64 << 10))
-    # pieces per polars Series group (bytes): the chain runs start-to-
-    # finish within each group so the working set stays cache-resident
-    # at many workers, while grouping amortizes the per-call overhead
-    _GROUP = int(os.environ.get("SKAR_FSST_GROUP", 256 << 10))
-    # hybrid split (OPT-IN): the top-K realized-gain symbols run as
-    # bytes.replace passes; the rest apply in ONE Aho-Corasick scan
-    # (polars str.replace_many, Rust) over the Series of pieces.  The AC
-    # pass uses aho-corasick *standard* (earliest-end) match semantics,
-    # under which short symbols preempt longer overlapping ones — so it
-    # cannot carry the HIGH-gain long symbols (measured: pure-AC ratio
-    # 0.423 vs chain 0.370) but applies the low-gain tail cheaply.
-    # Single-core A/B (tools/fsst_kernel_ab.py): K=12 → 1.7× faster at
-    # +1.0% post-zstd; K beyond 12 buys NO bytes back (the +1% is
-    # earliest-end semantics, not split position).  At JOB level on 32
-    # workers, though, the pure chain is equal-or-faster AND 2.2%
-    # smaller (interleaved sf0.1 A/B, BENCH.md r5 addendum 3), so the
-    # DEFAULT is the pure chain; set SKAR_FSST_CHAIN_K=12 to trade ~2%
-    # footprint for single-core encode speed (e.g. few-worker callers).
-    _CHAIN_K = int(os.environ.get("SKAR_FSST_CHAIN_K", 1 << 30))
-
-    def _ac_tail(self):
-        """(patterns, replacements) for the AC tail pass, built once.
-
-        Falls back to None (pure chain) when polars is unavailable.
-        Patterns are latin-1-decoded so one byte == one char: symbols
-        are pure ASCII and replacement codes 0x80..0xFE are valid
-        single chars, and the scan's input already carries code bytes
-        (>= 0x80) that no ASCII pattern can span — the same safety
-        argument as the chain, minus re-scanning (AC never re-scans
-        its own replacements)."""
-        if self._ac is None:
-            tail = self._multi[self._CHAIN_K :]
-            if not tail:
-                self._ac = ()
-            else:
-                try:  # tables ship through Ray: cache strings, not modules
-                    import polars  # noqa: F401  baked-in dependency; guarded anyway
-                except ImportError:  # pragma: no cover - polars is baked in
-                    self._ac = ()
-                    return self._ac
-                self._ac = (
-                    [s.decode("latin-1") for s, _ in tail],
-                    [c.decode("latin-1") for _, c in tail],
-                )
-        return self._ac
+    # cache-resident piece for the replace chain (the encode's
+    # DRAM-heaviest window — piece size trades L1/L2 residency against
+    # per-piece chain overhead; the scaling-contention experiments are
+    # recorded in BENCH.md)
+    _PIECE = 64 << 10
+    # pieces per pyarrow binary-array group (bytes): the chain runs
+    # start-to-finish within each group so the working set stays
+    # cache-resident at many workers, while grouping amortizes the
+    # per-call overhead
+    _GROUP = 256 << 10
 
     def encode_buffer(self, data: bytes) -> bytes:
-        """Three passes, no per-match Python:
+        """Two passes, no per-match Python:
         1. vectorised high-byte pass — map single-byte high symbols to
            their codes (LUT) and splice escape markers before the rest;
         2. the gain-ordered replace chain over ~64 KiB pieces so the
@@ -356,13 +306,10 @@ class SymbolTable:
            symbol spanning a piece boundary is simply left literal —
            bit-exact either way, ratio loss < 0.1%.  Each pass is one
            ``pc.replace_substring`` over a binary array of a ~256 KiB
-           group of pieces — measured 1.37× the ``bytes.replace`` loop
+           group of pieces — measured 1.37× a ``bytes.replace`` loop
            with BIT-IDENTICAL output (same leftmost non-overlapping
-           scan; the fallback loop below is pinned equal by
-           ``test_arrow_chain_matches_bytes_replace``);
-        3. (opt-in, ``SKAR_FSST_CHAIN_K``) one Aho-Corasick scan
-           (``str.replace_many``) applying the tail symbols on the same
-           Series (see ``_ac_tail`` for semantics and safety)."""
+           scan; pinned equal to that loop by
+           ``test_arrow_chain_matches_bytes_replace``)."""
         if not data:
             return data
         arr = np.frombuffer(data, dtype=np.uint8)
@@ -376,60 +323,35 @@ class SymbolTable:
             data = _escape_splice(
                 self._hi_lut[arr], np.flatnonzero(self._needs_escape[arr])
             )
-        ac = self._ac_tail()
-        multi = self._multi if not ac else self._multi[: self._CHAIN_K]
-        pieces = (
-            [data]
-            if len(data) <= self._PIECE
-            else [data[s : s + self._PIECE] for s in range(0, len(data), self._PIECE)]
-        )
-        if multi and not os.environ.get("SKAR_FSST_NO_ARROW"):
-            # pyarrow binary replace chain: byte patterns on binary
-            # arrays — no latin-1/UTF-8 conversion anywhere (a polars
-            # str chain was tried first and LOST at job level: code
-            # bytes >= 0x80 are 2-byte UTF-8 in its string buffers, so
-            # the working set doubles as encoding progresses — 1.3×
-            # faster single-core, 1.5× slower at 32 workers).  The
-            # chain runs start-to-finish within each ~256 KiB group of
-            # pieces so the working set stays cache-resident at many
-            # workers; one pass over ALL pieces per symbol would be a
-            # full-buffer DRAM sweep per pass (measured 1.4× slower
-            # even single-core).
-            import pyarrow.compute as _pc
+        if not self._multi:
+            return data
+        # pyarrow binary replace chain: byte patterns on binary arrays —
+        # no latin-1/UTF-8 conversion anywhere (a polars str chain was
+        # tried first and LOST at job level: code bytes >= 0x80 are
+        # 2-byte UTF-8 in its string buffers, so the working set doubles
+        # as encoding progresses — 1.3× faster single-core, 1.5× slower
+        # at 32 workers).  The chain runs start-to-finish within each
+        # ~256 KiB group of pieces so the working set stays
+        # cache-resident at many workers; one pass over ALL pieces per
+        # symbol would be a full-buffer DRAM sweep per pass (measured
+        # 1.4× slower even single-core).
+        import pyarrow.compute as _pc
 
-            grp = max(1, self._GROUP // self._PIECE)
-            parts = []
-            for g in range(0, len(pieces), grp):
-                arr = pa.array(pieces[g : g + grp], type=pa.binary())
-                for sym, code in multi:
-                    arr = _pc.replace_substring(arr, pattern=sym, replacement=code)
-                if ac:
-                    import polars as pl
-
-                    s = pl.Series([x.decode("latin-1") for x in arr.to_pylist()])
-                    parts.extend(x.encode("latin-1") for x in s.str.replace_many(*ac))
-                else:
-                    # the data buffer IS the concatenated values; slice
-                    # by the logical offsets (buffers may carry padding
-                    # past the last offset, so index by array length)
-                    offs = np.frombuffer(arr.buffers()[1], np.int32)
-                    lo = int(offs[arr.offset])
-                    hi = int(offs[arr.offset + len(arr)])
-                    parts.append(memoryview(arr.buffers()[2])[lo:hi].tobytes())
-            return b"".join(parts)
-        for i, piece in enumerate(pieces):
-            for sym, code in multi:
-                piece = piece.replace(sym, code)
-            pieces[i] = piece
-        if ac:
-            import polars as pl
-
-            pats, reps = ac
-            done = pl.Series([p.decode("latin-1") for p in pieces]).str.replace_many(
-                pats, reps
-            )
-            return b"".join(s.encode("latin-1") for s in done)
-        return b"".join(pieces) if len(pieces) > 1 else pieces[0]
+        pieces = [data[s : s + self._PIECE] for s in range(0, len(data), self._PIECE)]
+        grp = max(1, self._GROUP // self._PIECE)
+        parts = []
+        for g in range(0, len(pieces), grp):
+            arr = pa.array(pieces[g : g + grp], type=pa.binary())
+            for sym, code in self._multi:
+                arr = _pc.replace_substring(arr, pattern=sym, replacement=code)
+            # the data buffer IS the concatenated values; slice by the
+            # logical offsets (buffers may carry padding past the last
+            # offset, so index by array length)
+            offs = np.frombuffer(arr.buffers()[1], np.int32)
+            lo = int(offs[arr.offset])
+            hi = int(offs[arr.offset + len(arr)])
+            parts.append(memoryview(arr.buffers()[2])[lo:hi].tobytes())
+        return b"".join(parts)
 
     # ------------------------------------------------------------ decode
 

@@ -70,7 +70,6 @@ def run_derive_column_job(
     input_columns: list[str],
     *,
     codec: str | None = None,
-    page_level=None,
     concurrency: int | None = None,
     validate: bool = True,
 ) -> dict:
@@ -124,8 +123,7 @@ def run_derive_column_job(
                         )
 
             new_header = container_mod.append_column(
-                path, name, col, codec=codec, page_level=page_level,
-                validator=validator,
+                path, name, col, codec=codec, validator=validator,
             )
             _update_manifest(out_dir, pid, name, new_header, col)
             pids.append(pid)

@@ -1,20 +1,22 @@
-"""End-to-end encode job: read → plan → pkey → shuffle-group → encode.
+"""End-to-end encode job: read → plan → pkey → hash exchange → encode.
 
-The Ray-Data-native re-expression of the reference's write path
+The Ray-native re-expression of the reference's write path
 (`process_data` flush, /root/reference/skar/src/skar_runner.rs:285-370):
 
-    read_parquet(corpus)                      # streaming, pruned
-      └─ size pre-pass → PartitionPlan        # skew plan (driver-small)
-      └─ map_batches(assign_pkeys)            # vectorised key stage
-      └─ filter done partitions               # manifest resume
-      └─ groupby("pkey").map_groups(encode)   # the ONE wide op
-             each group: lexsort → chunk → auto-codec → .skarc + manifest
+    size pre-pass → PartitionPlan             # skew plan (driver-small, cached)
+    per-pkey input fingerprints               # manifest resume filter
+    run_hashed_encode (hash_exchange.py):
+      map tasks:    read file groups → assign_pkeys → split by pkey
+      reduce tasks: one per pkey → encode_partition
+             each partition: lexsort → chunk → auto-codec → .skarc + manifest
 
 Two modes:
-- ``mode="grouped"`` (default): the groupby co-locates each salted repo
-  bucket, maximising dict/RLE locality — skar's sort-before-write.
-- ``mode="sharded"``: no shuffle; each input block encodes independently
-  via the ``ShardEncoder`` actor pool (faster, slightly worse ratio).
+- ``mode="hashed"`` (default): the sort-free hash exchange co-locates
+  each salted repo bucket in one reduce task, maximising dict/RLE
+  locality — skar's sort-before-write.
+- ``mode="sharded"``: no exchange; each input block encodes
+  independently via the ``ShardEncoder`` actor pool (faster, slightly
+  worse ratio).  The registry's non-corpus tables use it.
 
 Returns a summary pyarrow Table (one row per partition) and writes the
 job-level summary into ``<out>/_manifest/_job.json``.
@@ -31,15 +33,15 @@ import pyarrow as pa
 import ray.data
 
 from ..stages import partitioner
-from ..stages.encoder import ShardEncoder, encode_partition, shard_encode_batch
+from ..stages.encoder import ShardEncoder, shard_encode_batch
 from ..state import manifest as manifest_mod
 
 
 def corpus_dataset(corpus_path: str, columns: list[str] | None = None) -> "ray.data.Dataset":
-    """Read with ~2 blocks per core: the sort-based shuffle materialises
-    O(blocks²) intermediate objects, so letting the reader split into
-    hundreds of small blocks triples shuffle wall time (measured 13 s →
-    4.4 s on 2 GB at 8 CPUs when capped)."""
+    """Read with ~2 blocks per core.  The block count is the partition
+    count of ``mode="sharded"`` (one partition per input block), and
+    ``append_job`` reads its new rows through here; letting the reader
+    split into hundreds of small blocks would multiply both."""
     import ray as _ray
 
     ncpu = int(_ray.cluster_resources().get("CPU", 8))
@@ -61,11 +63,11 @@ def _auto_partition_bytes(total_bytes: int) -> int:
 FAST_PROFILE_OVERRIDES = {
     # speed-oriented profile: skip FSST (pure-Python chain is the CPU
     # bottleneck), keep dict/rle for the run-heavy keys, rely on the
-    # zstd-9 page pass for content.  Measured (r3): dropping the page
-    # level to 3 ("__page_level__" override) saves ~90 worker-seconds
-    # of zstd CPU but ZERO wall time at 32 cores — the critical path is
-    # the exchange, not compression — while costing 3.05x -> 1.82x
-    # ratio; level 9 stays the right operating point on this profile.
+    # zstd-9 page pass for content.  Measured (r3): a zstd level of 3
+    # saves ~90 worker-seconds of zstd CPU but ZERO wall time at 32
+    # cores — the critical path is the exchange, not compression —
+    # while costing 3.05x -> 1.82x ratio; level 9 stays the right
+    # operating point on this profile.
     "content": "plain",
     "path": "plain",
     "repo": "rle",
@@ -79,12 +81,7 @@ def _corpus_fingerprint(corpus_path: str) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    paths = (
-        [os.path.join(corpus_path, f) for f in sorted(os.listdir(corpus_path)) if f.endswith(".parquet")]
-        if os.path.isdir(corpus_path)
-        else [corpus_path]
-    )
-    for p in paths:
+    for p in _input_paths(corpus_path):
         st = os.stat(p)
         h.update(f"{p}:{st.st_size}:{st.st_mtime_ns}".encode())
     return h.hexdigest()[:16]
@@ -181,13 +178,15 @@ def run_encode_job(
     out_dir: str,
     target_partition_bytes: int | None = None,
     chunk_target_bytes: int = 16 << 20,
-    mode: str = "grouped",
+    mode: str = "hashed",
     resume: bool = True,
     concurrency: int | None = None,
     codec_overrides: dict[str, str] | None = None,
     profile: str = "max",
     validate: bool = True,
 ) -> pa.Table:
+    if mode not in ("hashed", "sharded"):
+        raise ValueError(f"unknown encode mode {mode!r}; expected 'hashed' or 'sharded'")
     if profile == "fast" and codec_overrides is None:
         codec_overrides = FAST_PROFILE_OVERRIDES
     t0 = time.time()
@@ -200,8 +199,6 @@ def run_encode_job(
     from ..stages.validate import validate_schema
 
     validate_schema(pads.dataset(corpus_path).schema)
-
-    ds = corpus_dataset(corpus_path)
 
     if mode == "sharded":
         # block ids depend on the read's block structure, which follows
@@ -224,6 +221,7 @@ def run_encode_job(
         input_bytes = sum(
             os.path.getsize(f) for f in pads.dataset(corpus_path).files
         )
+        ds = corpus_dataset(corpus_path)
         if concurrency is None and input_bytes < (256 << 20):
             # small job (registry queries, tests): a TASK pool encodes
             # the handful of blocks without the ~1 s/stage actor-pool
@@ -239,16 +237,18 @@ def run_encode_job(
                 fn_constructor_kwargs=enc_kwargs,
                 batch_format="pyarrow",
                 batch_size=None,  # one call per input block
-                concurrency=concurrency
-                or (2, max(8, int(__import__("ray").cluster_resources().get("CPU", 8)))),
+                concurrency=concurrency or (2, max(8, _ncpu)),
                 zero_copy_batch=True,
             )
         summary = pa.Table.from_pandas(enc.to_pandas())
-    elif mode == "hashed":
+    else:
         plan, target_partition_bytes = _cached_plan(corpus_path, target_partition_bytes)
-        import hashlib as _hl
+        # resume only against manifests from the SAME plan — a different
+        # partition plan renumbers pkeys (skar's analog: block-range keys
+        # are plan-independent; ours must be fingerprint-guarded)
+        import hashlib
 
-        plan_hash = _hl.sha256(repr(sorted(plan.repos.items())).encode()).hexdigest()[:16]
+        plan_hash = hashlib.sha256(repr(sorted(plan.repos.items())).encode()).hexdigest()[:16]
         pkey_fp = _pkey_fingerprints(corpus_path, plan, plan_hash, target_partition_bytes)
         done = manifest_mod.scan_manifests(out_dir) if resume else {}
         # per-pkey fingerprints: a mutated input file invalidates exactly
@@ -280,61 +280,6 @@ def run_encode_job(
             summary = pa.Table.from_pandas(
                 pd.concat([summary.to_pandas(), skipped_rows], ignore_index=True)
             )
-    else:
-        plan, target_partition_bytes = _cached_plan(corpus_path, target_partition_bytes)
-        # resume only against manifests from the SAME plan — a different
-        # partition plan renumbers pkeys (skar's analog: block-range keys
-        # are plan-independent; ours must be fingerprint-guarded)
-        import hashlib
-
-        plan_hash = hashlib.sha256(
-            repr(sorted(plan.repos.items())).encode()
-        ).hexdigest()[:16]
-        pkey_fp = _pkey_fingerprints(corpus_path, plan, plan_hash, target_partition_bytes)
-        done = manifest_mod.scan_manifests(out_dir) if resume else {}
-        # per-pkey fingerprints: a mutated input file invalidates exactly
-        # the partitions it feeds (see _pkey_fingerprints)
-        done = {p: m for p, m in done.items() if m.input_fingerprint == pkey_fp.get(p)}
-        keyed = ds.map_batches(
-            lambda b: partitioner.assign_pkeys(b, plan), batch_format="pyarrow"
-        )
-        done_ids = set(done.keys())
-        if done_ids:
-            import pyarrow.compute as pc
-
-            keyed = keyed.map_batches(
-                lambda b: b.filter(
-                    pc.invert(pc.is_in(b.column("pkey"), value_set=pa.array(sorted(done_ids))))
-                ),
-                batch_format="pyarrow",
-            )
-        enc = keyed.groupby("pkey").map_groups(
-            lambda g: encode_partition(
-                g, out_dir, chunk_target_bytes,
-                pkey_fp.get(int(g.column("pkey")[0].as_py()), "") if g.num_rows else "",
-                codec_overrides, validate=validate,
-            ),
-            batch_format="pyarrow",
-        )
-        fresh = enc.to_pandas()
-        skipped_rows = [
-            {
-                "partition_id": m.partition_id,
-                "n_rows": m.n_rows,
-                "raw_bytes": m.raw_bytes,
-                "enc_bytes": m.enc_bytes,
-                "content_sha256": m.content_sha256,
-                "skipped": True,
-            }
-            for m in done.values()
-        ]
-        import pandas as pd
-
-        summary = pa.Table.from_pandas(
-            pd.concat([fresh, pd.DataFrame(skipped_rows)], ignore_index=True)
-            if skipped_rows
-            else fresh
-        )
 
     # orphan sweep: a changed corpus (or plan) can stop producing some
     # partition ids entirely.  After a fully-successful encode, the

@@ -1,13 +1,14 @@
-"""Hash-exchange encode — the grouped pipeline without a sort.
+"""Hash-exchange encode — the encode job's one wide operation.
 
-``Dataset.groupby`` implements its exchange as a sample-based SORT
-(sample → sort-map → sort-reduce): two barriers and a full ordered
-rewrite of every block.  Our partitioner only needs EQUALITY
-co-location (all rows of a pkey in one task) — order inside the
-partition is re-established locally by the encoder's lexsort anyway.
-This module implements the minimal exchange with raw Ray tasks (the
-documented last-resort case: the Dataset API cannot express a
-sort-free hash exchange in this version):
+The partitioner only needs EQUALITY co-location (all rows of a pkey in
+one task) — order inside the partition is re-established locally by
+the encoder's lexsort.  ``Dataset.groupby`` would pay a sample-based
+SORT for that (sample → sort-map → sort-reduce: two barriers and a full
+ordered rewrite of every block), and Ray Data's hash-shuffle groupby
+stalled or ran slower on this workload.  This module implements the
+minimal exchange with raw Ray tasks (the documented last-resort case:
+the Dataset API cannot express a sort-free hash exchange in this
+version):
 
     map task  (one per input file-chunk): stream record batches into a
               bounded buffer (``SKAR_RAY_MAP_BUFFER_BYTES``, 128 MiB) →
@@ -15,7 +16,7 @@ sort-free hash exchange in this version):
               ``ray.put`` each → return {pkey: [refs]} — worker heap is
               bounded by the buffer, not the input file size
     reduce    (one per pkey): ray.get(refs) → concat →
-              ``encode_partition`` (unchanged)
+              ``encode_partition``
 
 Plasma traffic is one write + one read of the data — the sort path
 pays that twice plus the sort compute.  Partitioning assumption: one
@@ -41,6 +42,7 @@ import ray
 
 from ..stages import partitioner
 from ..stages.encoder import encode_partition
+from .encode_job import _input_paths
 
 
 def _map_buffer_bytes() -> int:
@@ -160,21 +162,15 @@ def run_hashed_encode(
     out_dir: str,
     plan: "partitioner.PartitionPlan",
     chunk_target_bytes: int,
-    input_fingerprint: "str | dict[int, str]",
+    input_fingerprint: dict[int, str],
     skip_pkeys: frozenset[int] = frozenset(),
     codec_overrides: dict | None = None,
-    files_per_map: int | None = None,
     validate: bool = True,
 ) -> pa.Table:
-    paths = (
-        [os.path.join(corpus_path, f) for f in sorted(os.listdir(corpus_path)) if f.endswith(".parquet")]
-        if os.path.isdir(corpus_path)
-        else [corpus_path]
-    )
-    if files_per_map is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        files_per_map = max(1, len(paths) // (2 * ncpu) or 1)
-    groups = [paths[i : i + files_per_map] for i in range(0, len(paths), files_per_map)]
+    paths = _input_paths(corpus_path)
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    per_map = max(1, len(paths) // (2 * ncpu))  # files per map task
+    groups = [paths[i : i + per_map] for i in range(0, len(paths), per_map)]
 
     # launch the heavy maps FIRST; the metadata pre-pass overlaps them
     buffer_bytes = _map_buffer_bytes()
@@ -194,13 +190,6 @@ def run_hashed_encode(
                 if pk not in skip_pkeys:
                     contrib.setdefault(pk, set()).add(gi)
 
-    def _fp(pk: int) -> str:
-        # ship only THIS pkey's fingerprint string into its reduce task:
-        # pickling the whole per-partition dict into every call would be
-        # O(P²) bytes across the reduce wave at scale
-        return (input_fingerprint.get(pk, "")
-                if isinstance(input_fingerprint, dict) else input_fingerprint)
-
     # ray.wait-driven: launch each pkey's reduce the moment every map
     # group that can contribute to it has finished
     done_maps: dict[int, dict[int, "ray.ObjectRef"]] = {}
@@ -215,9 +204,12 @@ def run_hashed_encode(
             refs = [r for gi in sorted(needed) if pk in done_maps[gi]
                     for r in done_maps[gi][pk]]
             if refs:
+                # ship only THIS pkey's fingerprint string: pickling the
+                # whole per-partition dict into every call would be
+                # O(P²) bytes across the reduce wave at scale
                 futs.append(_reduce_encode.remote(
-                    pk, refs, out_dir, chunk_target_bytes, _fp(pk), codec_overrides,
-                    validate,
+                    pk, refs, out_dir, chunk_target_bytes,
+                    input_fingerprint.get(pk, ""), codec_overrides, validate,
                 ))
             launched.add(pk)
 
@@ -236,8 +228,8 @@ def run_hashed_encode(
                 leftovers.setdefault(pk, []).extend(refs)
     for pk, refs in sorted(leftovers.items()):
         futs.append(_reduce_encode.remote(
-            pk, refs, out_dir, chunk_target_bytes, _fp(pk), codec_overrides,
-            validate,
+            pk, refs, out_dir, chunk_target_bytes,
+            input_fingerprint.get(pk, ""), codec_overrides, validate,
         ))
     rows = ray.get(futs)
     if not rows:

@@ -654,9 +654,9 @@ def compact_corpus(sf_dir: str) -> pd.DataFrame:
 def encode_corpus_flagship(sf_dir: str) -> pd.DataFrame:
     """Flagship: seeded code corpus → salted-partition encode (hashed
     mode — the barrier-free hash exchange, same plan the bench runs;
-    grouped mode stays the Dataset-native fallback, bit-identity-tested
-    in test_encode_job) → verified decode → per-partition lineage
-    summary.  Deterministic but not SQL-expressible."""
+    test_encode_job pins it against an in-process encode of each
+    pkey) → verified decode → per-partition lineage summary.
+    Deterministic but not SQL-expressible."""
     from ..corpus import ensure_corpus, rows_for_sf, sf_from_dir
     from .decode_job import run_verify_job
     from .encode_job import run_encode_job

@@ -119,8 +119,8 @@ def decode_manifest_batch(
     )
 
 
-# Force one path in tests / experiments: "task" | "actor" | "" (adaptive)
-_DECODE_POOL_OVERRIDE = os.environ.get("SKAR_DECODE_POOL", "")
+# Force one path in tests: "task" | "actor" | "" (adaptive)
+_DECODE_POOL_OVERRIDE = ""
 
 
 def decode_stage(mds, n_parts: int, concurrency, **decode_kwargs):

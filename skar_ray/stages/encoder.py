@@ -1,7 +1,7 @@
 """Partition encode stage — sort, chunk, auto-select, write, manifest.
 
-One invocation handles one partition (the output of
-``groupby("pkey")``), mirroring the reference's per-folder flush
+One invocation handles one partition (one pkey's rows, co-located by
+the hash exchange's reduce task), mirroring the reference's per-folder flush
 (/root/reference/skar/src/skar_runner.rs:285-331):
 
 1. lexsort the partition by (repo, path, commit) — skar's pre-write

@@ -8,8 +8,7 @@ overhead dominates wall time (measured 4.1 s of a 10 s dedup pipeline).
 key and applies ``fn`` per fine group with a LOCAL vectorised pandas
 groupby — identical results, same rows moved, constant task count.
 
-Two backends, equality-tested (mirroring the encode path's grouped vs
-hashed modes):
+Two backends, equality-tested:
 
 - ``"ray"`` (default): raw-Ray hash exchange — map tasks split each
   block into per-coarse-bucket sub-tables (``ray.put`` each), one

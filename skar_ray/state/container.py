@@ -106,11 +106,7 @@ def write_container(path: str, table: pa.Table, chunk_rows: list[tuple[int, int]
     """
     if chunk_rows is None:
         chunk_rows = [(0, table.num_rows)]
-    codec_overrides = dict(codec_overrides or {})
-    # "__page_level__" rides in the overrides dict (the one per-job knob
-    # that already reaches every encode worker): zstd frames are
-    # self-describing, so ONLY the encode side needs the level
-    page_level = codec_overrides.pop("__page_level__", None)
+    codec_overrides = codec_overrides or {}
 
     # partition-level codec plan: select ONCE per column (sampled), and
     # train ONE FSST symbol table per column per partition (the
@@ -133,7 +129,7 @@ def write_container(path: str, table: pa.Table, chunk_rows: list[tuple[int, int]
         for name in table.column_names:
             col = sl.column(name)
             codec, fsst_table, estimates = plan[name]
-            enc = auto.encode_column(col, codec, fsst_table=fsst_table, page_level=page_level)
+            enc = auto.encode_column(col, codec, fsst_table=fsst_table)
             if first_chunk:
                 enc.estimates = estimates
             minmax = _chunk_stats(name, col)
@@ -181,7 +177,7 @@ def write_container(path: str, table: pa.Table, chunk_rows: list[tuple[int, int]
 
 
 def append_column(path: str, name: str, column, codec: str | None = None,
-                  page_level=None, validator=None) -> dict:
+                  validator=None) -> dict:
     """Append a derived column to an existing container WITHOUT
     re-encoding the existing ones: blob offsets are relative to the
     blob region, so every existing blob is copied VERBATIM and stays
@@ -210,7 +206,7 @@ def append_column(path: str, name: str, column, codec: str | None = None,
     for ch in header["chunks"]:
         sl = col.slice(row0, ch["n_rows"])
         row0 += ch["n_rows"]
-        enc = auto.encode_column(sl, codec_name, fsst_table=fsst_table, page_level=page_level)
+        enc = auto.encode_column(sl, codec_name, fsst_table=fsst_table)
         if first_chunk:
             enc.estimates = estimates
         ch["columns"].append(

@@ -78,6 +78,24 @@ def test_cli_verify_fails_on_row_mismatch(ray_session, tmp_path, capsys):
         main(["verify", other, store])
 
 
+def test_cli_grouped_mode_is_hashed_alias(ray_session, tmp_path, capsys):
+    """``--mode grouped`` stays an accepted CLI choice: it runs the hash
+    exchange, writes the same partitions and records ``hashed``."""
+    from skar_ray.corpus import ensure_corpus
+    from skar_ray.state import manifest
+
+    corpus = os.path.join(ensure_corpus(2000), "corpus.parquet")
+    digests = {}
+    for mode in ("grouped", "hashed"):
+        store = str(tmp_path / mode)
+        run_cli(capsys, "encode", corpus, store, "--target-mb", "2", "--mode", mode)
+        with open(os.path.join(manifest.manifest_dir(store), "_job.json")) as f:
+            assert json.load(f)["mode"] == "hashed"
+        digests[mode] = {p: m.content_sha256 for p, m in manifest.scan_manifests(store).items()}
+    assert len(digests["hashed"]) > 1
+    assert digests["grouped"] == digests["hashed"]
+
+
 def test_cli_subprocess_owns_session(tmp_path):
     """The `ray job submit` execution mode: a fresh process runs
     `python -m skar_ray encode` and the guarded ray.init owns the

@@ -20,8 +20,9 @@ import pytest
 
 from skar_ray.corpus import ensure_corpus
 from skar_ray.pipelines.decode_job import decoded_dataset, run_verify_job
-from skar_ray.pipelines.encode_job import run_encode_job
-from skar_ray.stages.partitioner import make_plan, repo_size_prepass
+from skar_ray.pipelines.encode_job import _cached_plan, run_encode_job
+from skar_ray.stages.encoder import encode_partition
+from skar_ray.stages.partitioner import assign_pkeys, make_plan, repo_size_prepass
 from skar_ray.state import manifest
 
 N_ROWS = 2000
@@ -147,7 +148,7 @@ def test_export_job_resumable(ray_session, encoded, tmp_path):
         assert got.column(col).equals(want.column(col)), col
 
 
-def test_hashed_mode_matches_grouped_and_resumes(ray_session, corpus_dir, tmp_path):
+def test_hashed_mode_matches_inprocess_reference_and_resumes(ray_session, corpus_dir, tmp_path):
     corpus = os.path.join(corpus_dir, "corpus.parquet")
     out = str(tmp_path / "hashed")
     s1 = run_encode_job(corpus, out, target_partition_bytes=2 << 20,
@@ -162,13 +163,27 @@ def test_hashed_mode_matches_grouped_and_resumes(ray_session, corpus_dir, tmp_pa
     assert s2.filter(pc.field("skipped")).num_rows == s2.num_rows
     after = {f: os.path.getmtime(os.path.join(out, f)) for f in os.listdir(out) if f.endswith(".skarc")}
     assert before == after
-    # same partition contents as the grouped (sort-based) mode
-    out2 = str(tmp_path / "grouped")
-    g = run_encode_job(corpus, out2, target_partition_bytes=2 << 20,
-                       chunk_target_bytes=1 << 20, mode="grouped")
-    h_digests = sorted(s1.column("content_sha256").to_pylist())
-    g_digests = sorted(g.column("content_sha256").to_pylist())
-    assert h_digests == g_digests, "hash exchange must produce identical partitions"
+    # reference with no exchange: assign pkeys to the whole corpus in
+    # process and encode each pkey's rows directly — the exchange must
+    # deliver exactly those rows to each partition, bit for bit
+    plan, _ = _cached_plan(corpus, 2 << 20)
+    keyed = assign_pkeys(read_corpus_table(corpus), plan)
+    ref_dir = str(tmp_path / "reference")
+    cols = ["partition_id", "n_rows", "raw_bytes", "enc_bytes", "content_sha256"]
+    want = []
+    for pk in sorted(set(keyed.column("pkey").to_pylist())):
+        rows = keyed.filter(pc.equal(keyed.column("pkey"), pk))
+        r = encode_partition(rows, ref_dir, 1 << 20)
+        want.append(tuple(r.column(c)[0].as_py() for c in cols))
+    got = sorted(zip(*(s1.column(c).to_pylist() for c in cols)))
+    assert got == sorted(want), "hash exchange must produce the reference partitions"
+
+
+def test_unknown_encode_mode_raises(tmp_path, corpus_dir):
+    corpus = os.path.join(corpus_dir, "corpus.parquet")
+    with pytest.raises(ValueError, match="hashed.*sharded"):
+        run_encode_job(corpus, str(tmp_path / "out"), mode="grouped")
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_map_side_streaming_buffer_is_transparent(ray_session, corpus_dir, tmp_path, monkeypatch):

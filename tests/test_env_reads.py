@@ -1,0 +1,51 @@
+"""The library reads one SKAR_* environment variable and no other.
+
+Experiment knobs behind env variables fork the code path a benchmark or
+test actually exercises; this scan keeps new ones from creeping back.
+"""
+
+import ast
+import pathlib
+
+PKG = pathlib.Path(__file__).resolve().parent.parent / "skar_ray"
+
+
+def _is_environ(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ") or (
+        isinstance(node, ast.Name) and node.id == "environ"
+    )
+
+
+def _env_names(tree):
+    """Key of every ``environ[...]``, ``environ.get/setdefault/pop`` and
+    ``getenv`` use; None when the key is not a string literal."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_environ(node.value):
+            key = node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            (_is_environ(node.func.value) and node.func.attr in ("get", "setdefault", "pop"))
+            or node.func.attr == "getenv"
+        ):
+            key = node.args[0] if node.args else None
+        else:
+            continue
+        yield key.value if isinstance(key, ast.Constant) else None
+
+
+def test_scanner_sees_every_read_form():
+    src = 'os.environ["A"]; os.environ.get("B"); environ.pop("C"); os.getenv("D"); os.environ.get(k)'
+    assert list(_env_names(ast.parse(src))) == ["A", "B", "C", "D", None]
+
+
+def test_only_skar_env_read_is_the_map_buffer_bound():
+    reads = [
+        (str(path.relative_to(PKG)), name)
+        for path in sorted(PKG.rglob("*.py"))
+        for name in _env_names(ast.parse(path.read_text()))
+    ]
+    assert reads, "scan found no environment access at all"
+    assert all(name is not None for _, name in reads), reads
+    skar = {name for _, name in reads if name.startswith("SKAR_")}
+    # the map-side worker-heap bound, exercised by
+    # test_map_side_streaming_buffer_is_transparent
+    assert skar == {"SKAR_RAY_MAP_BUFFER_BYTES"}, reads
