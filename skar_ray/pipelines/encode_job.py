@@ -61,13 +61,14 @@ def _auto_partition_bytes(total_bytes: int) -> int:
 
 
 FAST_PROFILE_OVERRIDES = {
-    # speed-oriented profile: skip FSST (pure-Python chain is the CPU
-    # bottleneck), keep dict/rle for the run-heavy keys, rely on the
-    # zstd-9 page pass for content.  Measured (r3): a zstd level of 3
-    # saves ~90 worker-seconds of zstd CPU but ZERO wall time at 32
-    # cores — the critical path is the exchange, not compression —
-    # while costing 3.05x -> 1.82x ratio; level 9 stays the right
-    # operating point on this profile.
+    # speed-oriented profile: skip FSST (symbol-table training and the
+    # pyarrow replace chain are its largest encode costs; with every
+    # column overridden, the plan trains no table), keep dict/rle for
+    # the run-heavy keys, rely on the zstd-9 page pass for content.
+    # Measured (r3): a zstd level of 3 saves ~90 worker-seconds of zstd
+    # CPU but ZERO wall time at 32 cores — the critical path is the
+    # exchange, not compression — while costing 3.05x -> 1.82x ratio;
+    # level 9 stays the right operating point on this profile.
     "content": "plain",
     "path": "plain",
     "repo": "rle",

@@ -453,10 +453,13 @@ def _distinct_doc_lines(texts: pd.Series) -> pd.DataFrame:
 
 
 def _in_sorted(cand: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Membership mask of ``h`` in the SORTED non-empty array ``cand``
-    — the broadcast-candidate probe shared by every two-pass exact
-    recount (clamping the out-of-range position to 0 is safe: that
-    slot compares unequal unless it IS the value)."""
+    """Membership mask of ``h`` in the SORTED array ``cand`` — the
+    broadcast-candidate probe shared by every two-pass exact recount
+    (clamping the out-of-range position to 0 is safe: that slot
+    compares unequal unless it IS the value).  An empty ``cand``
+    matches nothing."""
+    if len(cand) == 0:
+        return np.zeros(len(h), dtype=bool)
     pos = np.searchsorted(cand, h)
     pos[pos == len(cand)] = 0
     return cand[pos] == h

@@ -61,14 +61,17 @@ def _chunk_stats(name: str, col) -> dict | None:
 
 def _plan_column(col, codec_override: str | None = None):
     """Partition-level codec plan for ONE column: auto-select the codec
-    on a sample and train one FSST symbol table (reused across chunks)
-    when the column is high-cardinality string-like.  Shared by
-    write_container and append_column so a derived column gets exactly
-    the same codec treatment as an encode-time one."""
+    on a sample unless ``codec_override`` names it, and train one FSST
+    symbol table (reused across chunks) only when FSST can be chosen —
+    no override or an ``"fsst"`` override — and the column is
+    high-cardinality string-like.  Any other override skips the sample,
+    the distinct count and the training.  Shared by write_container and
+    append_column so a derived column gets exactly the same codec
+    treatment as an encode-time one."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     fsst_table = None
-    if auto.base.is_string_like(col.type) and len(col):
+    if codec_override in (None, "fsst") and auto.base.is_string_like(col.type) and len(col):
         import pyarrow.compute as pc
 
         sample = auto.sample_of(col)
@@ -112,6 +115,8 @@ def write_container(path: str, table: pa.Table, chunk_rows: list[tuple[int, int]
     # train ONE FSST symbol table per column per partition (the
     # north-star's per-partition symbol tables) reused across chunks —
     # per-chunk re-training/re-selection would dominate encode time.
+    # Only columns that can end up FSST train: an override naming any
+    # other codec skips training altogether.
     plan: dict[str, tuple[str, object, dict]] = {}
     for name in table.column_names:
         _, codec, fsst_table, estimates = _plan_column(

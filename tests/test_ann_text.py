@@ -806,3 +806,12 @@ def test_dedup_paragraphs_null_text(ray_session):
     assert list(got["clean_text"]) == ["A", "", ""]
     # null == empty paragraph: doc 1 keeps it (first ''), doc 2's A drops
     assert list(got["n_kept"]) == [1, 1, 0]
+
+
+def test_in_sorted_is_total():
+    """Membership probe of the two-pass recounts: an empty candidate
+    set matches nothing instead of raising IndexError."""
+    h = np.array([3, 1, 7], dtype=np.int64)
+    assert text._in_sorted(np.array([], dtype=np.int64), h).tolist() == [False] * 3
+    assert text._in_sorted(np.array([1, 5, 7], dtype=np.int64), h).tolist() == [False, True, True]
+    assert text._in_sorted(np.array([1, 5], dtype=np.int64), h[:0]).tolist() == []

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skar_ray.codecs import decode_array, encode_array
-from skar_ray.codecs.fsst import SymbolTable, train_symbols
+from skar_ray.codecs.fsst import _MAX_LEN, MAX_SYMBOLS, SymbolTable, train_symbols
 
 _SETTINGS = dict(
     max_examples=60,
@@ -71,29 +71,130 @@ def test_fsst_piece_boundaries(data):
     assert t.decode_buffer(t.encode_buffer(data)) == data
 
 
-@settings(**_SETTINGS)
-@given(data=st.binary(min_size=16, max_size=8192))
-def test_window_counts_match_void_unique(data):
-    """The uint64-packed (L<=8) and FNV-hashed (L>8) window counters
-    must agree with the void-view np.unique ground truth — same
-    distinct-window count, same count multiset, and every recovered
-    representative must be a real window."""
-    import numpy as np
+def _window_counts_reference(w: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first_index, count) per distinct window row — integer-keyed
+    grouping instead of an L-byte void view: the int sort is ~10×
+    faster than void lexicographic compares (measured 0.035 s → 0.004 s
+    per length on the 128 KiB training sample).  L ≤ 8 packs the bytes
+    losslessly into one uint64 key; 8 < L ≤ 16 packs into TWO uint64
+    words and groups via a stable two-key lexsort — still exact (a
+    prior FNV rolling hash here had ~1e-9 collision odds that could
+    merge two windows' counts; this keeps the speed without the odds)."""
+    if L <= 8:
+        pad = np.zeros((len(w), 8), dtype=np.uint8)
+        pad[:, :L] = w
+        key = pad.view(np.uint64).ravel()
+        _, idx, counts = np.unique(key, return_index=True, return_counts=True)
+        return idx, counts
+    if L > 16:
+        raise ValueError(f"window length {L} > 16 unsupported")
+    pad = np.zeros((len(w), 16), dtype=np.uint8)
+    pad[:, :L] = w
+    k = pad.view(np.uint64).reshape(-1, 2)
+    k1, k2 = k[:, 0], k[:, 1]
+    order = np.lexsort((k2, k1))  # stable: first index per group survives
+    s1, s2 = k1[order], k2[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    new[1:] = (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(order)))
+    # lexsort is stable, but ties keep ORIGINAL order only within equal
+    # (k1,k2) groups — order[starts] is the group's lowest original
+    # index, matching np.unique(return_index=True) semantics
+    idx = order[starts]
+    return idx, counts
 
-    from skar_ray.codecs.fsst import _window_counts
 
-    buf = np.frombuffer(data, dtype=np.uint8)
-    for L in (2, 5, 8, 9, 13):
+def _train_symbols_reference(sample: bytes, max_symbols: int = MAX_SYMBOLS) -> list[bytes]:
+    """The window-matrix trainer ``train_symbols`` replaced, kept
+    verbatim as the exactness reference: a void/first-index grouping
+    per length over a copied L-column window matrix."""
+    if len(sample) < 4:
+        return []
+    buf = np.frombuffer(sample, dtype=np.uint8)
+    candidates: list[tuple[int, bytes]] = []
+    # frequent high bytes: encoding one as a symbol saves the escape byte
+    hi_vals, hi_counts = np.unique(buf[buf >= 0x80], return_counts=True)
+    for v, c in zip(hi_vals.tolist(), hi_counts.tolist()):
+        if c >= 4:
+            candidates.append((c, bytes([v])))
+    for L in range(2, _MAX_LEN + 1):
         if len(buf) <= L:
-            continue
+            break
         win = np.lib.stride_tricks.sliding_window_view(buf, L)
-        win = np.ascontiguousarray(win[(win < 0x80).all(axis=1)])
+        # subsample long windows for speed: scan <= ~512K windows per length
+        step = max(1, len(win) // (1 << 19))
+        win = win[::step]
+        ascii_only = (win < 0x80).all(axis=1)
+        win = np.ascontiguousarray(win[ascii_only])
         if len(win) == 0:
             continue
-        idx, counts = _window_counts(win, L)
-        view = win.view(np.dtype((np.void, L))).ravel()
-        _, ref_counts = np.unique(view, return_counts=True)
-        assert len(counts) == len(ref_counts)
-        assert sorted(counts.tolist()) == sorted(ref_counts.tolist())
-        grams = {win[i].tobytes() for i in idx.tolist()}
-        assert len(grams) == len(counts)  # representatives are distinct windows
+        idx, counts = _window_counts_reference(win, L)
+        if len(counts) == 0:
+            continue
+        # O(n) top-256 instead of a full argsort over up to 512K
+        # uniques (candidate tie order at the cut may differ — both
+        # orders are deterministic, and refine_symbols re-validates
+        # every survivor's realized gain anyway)
+        if len(counts) > 256:
+            part = np.argpartition(counts, -256)[-256:]
+            top = part[np.argsort(counts[part])[::-1]]
+        else:
+            top = np.argsort(counts)[::-1]
+        for i in top:
+            c = int(counts[i]) * step
+            if c < 4:
+                break
+            candidates.append((c * (L - 1), win[idx[i]].tobytes()))
+    candidates.sort(key=lambda t: (-t[0], t[1]))
+    out: list[bytes] = []
+    seen: set[bytes] = set()
+    for _, sym in candidates:
+        if sym in seen:
+            continue
+        seen.add(sym)
+        out.append(sym)
+        if len(out) >= max_symbols:
+            break
+    return out
+
+
+# small alphabets and token streams repeat windows often, so many
+# groups tie at the top-256 cut and windows longer than 8 bytes share
+# their first 8 bytes — both orders the trainer must reproduce
+_TOKENS = ["def ", "return ", "self.", "import ", "(x)", "\n    ", "src/", "org1/repo", "_"]
+ascii_texts = st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=8192),
+    st.text(alphabet="ab cd_\n", max_size=8192),
+    st.lists(st.sampled_from(_TOKENS), min_size=200, max_size=1500).map("".join),
+).map(str.encode)
+
+
+@settings(**_SETTINGS)
+@given(data=st.one_of(st.binary(max_size=8192), ascii_texts))
+def test_train_symbols_matches_reference(data):
+    """The key-grouping trainer returns exactly the symbol list of the
+    window-matrix reference: same groups, same counts, same order into
+    the top-256 cut."""
+    assert train_symbols(data) == _train_symbols_reference(data)
+
+
+def test_train_symbols_matches_reference_fixed_cases():
+    """Every input length 0..17 (the short-sample and per-length
+    breaks), a high-byte-heavy input, and a sample long enough that
+    windows are strided (step > 1 needs more than 2 × 512 Ki windows)."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in range(18):
+        cases += [b"a" * n, (b"ab" * 9)[:n], bytes(rng.integers(0, 0x80, n, dtype=np.uint8))]
+    cases.append(
+        bytes(rng.integers(0x80, 0x100, 6000, dtype=np.uint8))
+        + b"caf\xc3\xa9 na\xc3\xafve r\xc3\xa9sum\xc3\xa9 " * 400
+    )
+    words = np.array([b"def ", b"return ", b"self.", b"x", b"(", b")\n", b"\xc3\xa9"], dtype=object)
+    big = b"".join(words[rng.integers(0, len(words), 400_000)].tolist())
+    assert len(big) > (1 << 20) + 16
+    cases.append(big)
+    for data in cases:
+        assert train_symbols(data) == _train_symbols_reference(data), len(data)

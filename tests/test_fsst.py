@@ -146,3 +146,42 @@ def test_arrow_chain_matches_bytes_replace():
     fast = table.encode_buffer(data)
     assert fast == _replace_chain_reference(table, data)
     assert table.decode_buffer(fast) == data
+
+
+def test_plan_trains_only_when_fsst_can_be_chosen(monkeypatch, tmp_path):
+    """A codec override other than fsst skips the symbol-table training
+    (and its sample); no override or an fsst override trains exactly one
+    table per high-cardinality string column.  The fast profile trains
+    nothing and still writes the bytes it wrote when it trained and
+    discarded tables (221,896 for this seeded partition), and the max
+    profile's trained tables write its old 178,187 bytes."""
+    from skar_ray.corpus import CorpusSpec, build_corpus
+    from skar_ray.pipelines.encode_job import FAST_PROFILE_OVERRIDES
+    from skar_ray.stages.encoder import encode_partition
+    from skar_ray.state.container import _plan_column
+
+    calls = []
+    real = FsstCodec.make_table
+
+    def counting(self, data):
+        calls.append(len(data))
+        return real(self, data)
+
+    monkeypatch.setattr(FsstCodec, "make_table", counting)
+    t = build_corpus(CorpusSpec(n_rows=400, seed=5))
+    col = t.column("path")
+    for c in ("plain", "dict", "rle"):
+        _, codec, table, _ = _plan_column(col, c)
+        assert (codec, table, calls) == (c, None, [])
+    _, codec, table, _ = _plan_column(col, "fsst")
+    assert codec == "fsst" and isinstance(table, SymbolTable) and len(calls) == 1
+    calls.clear()
+    _plan_column(col, None)
+    assert len(calls) == 1
+
+    calls.clear()
+    s = encode_partition(t, str(tmp_path), 1 << 20, codec_overrides=FAST_PROFILE_OVERRIDES)
+    assert calls == []
+    assert s.column("enc_bytes").to_pylist() == [221_896]
+    s = encode_partition(t, str(tmp_path / "max"), 1 << 20)
+    assert s.column("enc_bytes").to_pylist() == [178_187]
