@@ -19,13 +19,16 @@ Code-space layout (chosen so ASCII text needs no escapes):
 Because the whole concatenated value buffer is encoded in one pass
 (symbols may span row boundaries — decode restores the exact byte
 stream), row boundaries are carried by the original lengths,
-FoR+bit-packed separately.  Training counts n-grams by exact uint64
-window keys, only for columns the container plan may encode as FSST;
-encoding is a pyarrow ``replace_substring`` chain over cache-resident
-pieces; decoding is one Arrow binary take per escape-free segment.
+FoR+bit-packed separately.  Training counts n-grams with one sort per
+length on exact (rank-composite past 8 bytes) uint64 window keys, only
+for columns the container plan may encode as FSST; encoding is a
+pyarrow ``replace_substring`` chain over cache-resident pieces;
+decoding is one Arrow binary take per escape-free segment.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -51,76 +54,71 @@ def train_symbols(sample: bytes, max_symbols: int = MAX_SYMBOLS) -> list[bytes]:
     (≥0x80) never being part of a later symbol match.  Single-byte
     symbols are allowed for frequent high bytes (saves their escape).
 
-    Windows of length L are counted by exact keys grown one byte per
-    length over the whole sample: bytes 0..7 shift-or'ed into a
-    little-endian uint64 ``k1``, bytes 8..L-1 into ``k2``.  A key IS
-    its window's bytes, so the symbol is read back from the key and no
-    stable first-index sort is needed (``np.unique(return_index=True)``
-    and ``lexsort`` cost 3-5× a plain sort).  Groups come out in
-    ascending (k1, k2) order with exact counts — ``np.unique`` for
-    L ≤ 8, an unstable sort on k2 then a stable sort on k1 for L > 8 —
-    the order of the window-matrix reference the tests compare against,
-    so the top-256 cut breaks count ties at the same positions and the
-    symbols (hence the encoded bytes) match it exactly.
+    Windows are grouped by exact uint64 keys, one ``np.unique`` per
+    length: ``keys[j]`` is every j-byte window (j ≤ 8) little-endian,
+    so a key IS its bytes and the symbol is read back from it.  A
+    window of L > 8 bytes is the pair (k1, k2) of its first 8 and last
+    j = L - 8 bytes, keyed ``rank(k1) << w | k2``: ``rank`` is the
+    dense rank of ``keys[8]`` (16 bits at a 64 KiB sample), and k2 is
+    the raw key (w = 8j) while both fit in 64 bits, else its own dense
+    rank (two ranks of < 2^32 values always fit).  Both ranks preserve
+    order and the low field never overflows its w bits, so ascending
+    key order is ascending (k1, k2): the groups, counts and order of
+    the window-matrix reference the tests pin, hence the same top-256
+    cut and symbols.  Memory: eight key arrays, 64 B per sample byte
+    (4 MiB at 64 KiB).
     """
     if len(sample) < 4:
         return []
     buf = np.frombuffer(sample, dtype=np.uint8)
     n = len(buf)
-    candidates: list[tuple[int, bytes]] = []
     # frequent high bytes: encoding one as a symbol saves the escape byte
     hi_vals, hi_counts = np.unique(buf[buf >= 0x80], return_counts=True)
-    for v, c in zip(hi_vals.tolist(), hi_counts.tolist()):
-        if c >= 4:
-            candidates.append((c, bytes([v])))
-    b64 = buf.astype(np.uint64)
-    # high bytes before each position: window i..i+L-1 is ASCII iff
-    # high[i + L] == high[i]
+    candidates = [(c, bytes([v])) for v, c in zip(hi_vals.tolist(), hi_counts.tolist()) if c >= 4]
+    # keys[j][i]: the j bytes at i as a little-endian uint64
+    keys = [None, buf.astype(np.uint64)]
+    for j in range(2, min(8, n) + 1):
+        keys.append(keys[j - 1][: n - j + 1] | keys[1][j - 1 :] << np.uint64(8 * (j - 1)))
+
+    @functools.cache
+    def rank(j):  # (sorted unique keys[j], dense rank per window, rank bits)
+        u, r = np.unique(keys[j], return_inverse=True)
+        return u, r.astype(np.uint64), (len(u) - 1).bit_length()
+
+    # high[i]: high bytes before i; window i..i+L-1 is ASCII iff high[i+L] == high[i]
     high = np.r_[0, np.cumsum(buf >= 0x80)]
-    k1, k2 = b64, None  # keys of the length-(L-1) windows
     for L in range(2, _MAX_LEN + 1):
         if n <= L:
             break
-        m = n - L + 1  # windows of length L
-        tail = b64[L - 1 :] << np.uint64(8 * ((L - 1) % 8))
-        if L <= 8:
-            k1 = k1[:m] | tail
-        else:
-            k1 = k1[:m]
-            k2 = tail if L == 9 else k2[:m] | tail
+        m, j = n - L + 1, L - 8  # windows of length L; bytes past the first 8
         keep = high[L:] == high[:m]
         # subsample long windows for speed: scan <= ~512K windows per length
         step = max(1, m // (1 << 19))
         if step > 1:
             starts = np.arange(0, m, step)
             keep = starts[keep[starts]]
-        a1 = k1[keep]
-        if len(a1) == 0:
-            continue
         if L <= 8:
-            grams, counts = np.unique(a1, return_counts=True)
-            grams = grams[:, None]
+            key = keys[L][:m][keep]
         else:
-            a2 = k2[keep]
-            order = np.argsort(a2)
-            order = order[np.argsort(a1[order], kind="stable")]
-            s1, s2 = a1[order], a2[order]
-            first = np.flatnonzero(np.r_[True, (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])])
-            counts = np.diff(np.append(first, len(order)))
-            grams = np.stack((s1[first], s2[first]), axis=1)
-        # O(n) top-256 instead of a full argsort over up to 512K
-        # uniques (candidate tie order at the cut is deterministic, and
-        # refine_symbols re-validates every survivor's realized gain)
+            u8, r8, b8 = rank(8)
+            uj, lo, w = (None, keys[j], 8 * j) if j < 8 and b8 + 8 * j <= 64 else rank(j)
+            key = r8[:m][keep] << np.uint64(w) | lo[8 : 8 + m][keep]
+        grams, counts = np.unique(key, return_counts=True)
+        # O(n) top-256, not a full argsort over up to 512K uniques (the cut's
+        # tie order is deterministic; refine_symbols re-checks every survivor)
         if len(counts) > 256:
             part = np.argpartition(counts, -256)[-256:]
             top = part[np.argsort(counts[part])[::-1]]
         else:
             top = np.argsort(counts)[::-1]
-        for i in top:
-            c = int(counts[i]) * step
-            if c < 4:
-                break
-            candidates.append((c * (L - 1), grams[i].astype("<u8").tobytes()[:L]))
+        c = counts[top] * step
+        g, c = grams[top[c >= 4]], c[c >= 4]
+        if L > 8:
+            k2 = g & np.uint64((1 << w) - 1)
+            g = np.stack((u8[g >> np.uint64(w)], k2 if uj is None else uj[k2]), axis=1)
+        raw = g.astype("<u8").tobytes()
+        syms = [raw[r : r + L] for r in range(0, len(raw), 16 if L > 8 else 8)]
+        candidates.extend(zip((c * (L - 1)).tolist(), syms))
     candidates.sort(key=lambda t: (-t[0], t[1]))
     return list(dict.fromkeys(sym for _, sym in candidates))[:max_symbols]
 
@@ -159,10 +157,10 @@ def refine_symbols(
         data = _escape_splice(t._hi_lut[arr], np.flatnonzero(t._needs_escape[arr]))
     else:
         data = sample
-    for sym, code in t._multi:  # longest-first simulation, counting matches
-        c = data.count(sym)
-        gains[sym] = c * (len(sym) - 1)
-        data = data.replace(sym, code)
+    for sym, code in t._multi:  # longest-first simulation
+        # each leftmost non-overlapping match replaced saves len(sym) - 1
+        shrunk = data.replace(sym, code)
+        gains[sym], data = len(data) - len(shrunk), shrunk
     # drop the tail: cheapest symbols first until the loss budget is spent
     budget = int(len(sample) * max_loss_frac)
     dropped: set[bytes] = set()

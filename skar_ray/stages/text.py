@@ -806,10 +806,10 @@ def dedup_paragraphs(
     Output: input columns minus ``text_col`` plus ``clean_<text_col>``
     / ``n_paras`` / ``n_kept``.  Keys pack as id·2^20 + pos (loud
     guards), matching the SQL oracle's arithmetic.  ``max_dup`` bounds
-    the broadcast: past that many DISTINCT duplicated paragraphs the
-    job raises loudly instead of shipping a corpus-sized text map —
-    the 100-TB path is the bucketed anti-join the dedup keep pipelines
-    use (dedup.py ``connected_components_distributed`` gate pattern).
+    the broadcast first-key map, which is built in driver memory: past
+    that many DISTINCT duplicated paragraphs the job raises loudly
+    instead of building a corpus-sized map; the remedy is a larger
+    ``max_dup`` when the driver can hold that many paragraphs.
     Reference analog: the dedup/compaction passes the reference runs
     before flushing folders (skar_runner.rs:233-308 ordering work).
     """
@@ -852,8 +852,8 @@ def dedup_paragraphs(
     if len(cand) > max_dup:
         raise ValueError(
             f"{len(cand)} distinct duplicated paragraphs exceeds max_dup="
-            f"{max_dup}; the broadcast first-key map would be corpus-sized "
-            "— use the bucketed anti-join path for this corpus"
+            f"{max_dup}; the broadcast first-key map is built in driver "
+            "memory — raise max_dup if the driver can hold it"
         )
 
     dup_map: dict = {}

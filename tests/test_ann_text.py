@@ -778,8 +778,8 @@ def test_dedup_paragraphs_property(ray_session):
 
 
 def test_dedup_paragraphs_max_dup_guard(ray_session):
-    """Past the broadcast cap the job must fail loudly, not ship a
-    corpus-sized paragraph map."""
+    """Past the broadcast cap the job must fail loudly, not build a
+    corpus-sized paragraph map in the driver, and name the remedy."""
     import pandas as pd
     import pytest as _pytest
     import ray
@@ -787,8 +787,9 @@ def test_dedup_paragraphs_max_dup_guard(ray_session):
     from skar_ray.stages import text
 
     df = pd.DataFrame({"doc_id": [0, 1], "text": ["A\n\nB", "A\n\nB"]})
-    with _pytest.raises(ValueError, match="max_dup"):
+    with _pytest.raises(ValueError, match="exceeds max_dup=1;.*driver memory.*raise max_dup") as e:
         text.dedup_paragraphs(ray.data.from_pandas(df), max_dup=1).to_pandas()
+    assert "anti-join" not in str(e.value)
 
 
 def test_dedup_paragraphs_null_text(ray_session):

@@ -7,7 +7,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skar_ray.codecs import decode_array, encode_array
-from skar_ray.codecs.fsst import _MAX_LEN, MAX_SYMBOLS, SymbolTable, train_symbols
+from skar_ray.codecs.fsst import (
+    _MAX_LEN,
+    MAX_SYMBOLS,
+    SymbolTable,
+    _escape_splice,
+    refine_symbols,
+    train_symbols,
+)
 
 _SETTINGS = dict(
     max_examples=60,
@@ -196,5 +203,103 @@ def test_train_symbols_matches_reference_fixed_cases():
     big = b"".join(words[rng.integers(0, len(words), 400_000)].tolist())
     assert len(big) > (1 << 20) + 16
     cases.append(big)
+    # more than 2^16 distinct 8-byte windows: their rank needs over 16
+    # bits, so the j-byte suffix is ranked too from L = 14 on (only
+    # L = 15, 16 at the 64 KiB training sample); long tokens between
+    # the random runs make windows of 14-16 bytes repeat, so they
+    # become candidates and a wrong group or read-back shows
+    toks = [b"self.assertEqual(", b"return np.unique(", b"import numpy as np\n"]
+    wide = b"".join(
+        bytes(rng.integers(0x20, 0x7F, 110, dtype=np.uint8)) + toks[i % 3] for i in range(2500)
+    )
+    assert len(wide) >= 300_000
+    win8 = np.lib.stride_tricks.sliding_window_view(np.frombuffer(wide, np.uint8), 8)
+    assert len(np.unique(np.ascontiguousarray(win8).view("<u8"))) > 1 << 16
+    cases.append(wide)
     for data in cases:
         assert train_symbols(data) == _train_symbols_reference(data), len(data)
+
+
+def _refine_symbols_reference(
+    symbols: list[bytes], sample: bytes, max_loss_frac: float = 0.01
+) -> tuple[list[bytes], list[bytes]]:
+    """The ``refine_symbols`` that counted each symbol's matches with
+    a ``bytes.count`` scan before replacing them, kept verbatim as the
+    exactness reference for the replace-length gain."""
+    if not symbols or len(sample) < 4:
+        return symbols, [s for s in symbols if len(s) > 1]
+    t = SymbolTable(symbols)
+    arr = np.frombuffer(sample, dtype=np.uint8)
+    gains: dict[bytes, int] = {}
+    for s in symbols:
+        if len(s) == 1 and s[0] >= 0x80:
+            gains[s] = int(np.count_nonzero(arr == s[0]))  # escape byte saved
+    if arr.max() >= 0x80:
+        data = _escape_splice(t._hi_lut[arr], np.flatnonzero(t._needs_escape[arr]))
+    else:
+        data = sample
+    for sym, code in t._multi:  # longest-first simulation, counting matches
+        c = data.count(sym)
+        gains[sym] = c * (len(sym) - 1)
+        data = data.replace(sym, code)
+    # drop the tail: cheapest symbols first until the loss budget is spent
+    budget = int(len(sample) * max_loss_frac)
+    dropped: set[bytes] = set()
+    acc = 0
+    for s in sorted(symbols, key=lambda s: gains.get(s, 0)):
+        g = gains.get(s, 0)
+        if acc + g > budget:
+            break
+        acc += g
+        dropped.add(s)
+    kept = [s for s in symbols if s not in dropped]
+    # gain-desc chain order with the superstring-before-substring
+    # constraint (if B ⊂ A and B ran first, A would never match)
+    multi = [s for s in kept if len(s) > 1]
+    remaining = sorted(multi, key=lambda s: -gains.get(s, 0))
+    chain: list[bytes] = []
+    placed: set[bytes] = set()
+    while remaining:
+        progressed = False
+        deferred = []
+        for s in remaining:
+            blockers = [o for o in remaining if o is not s and len(o) > len(s) and s in o]
+            if any(o not in placed for o in blockers):
+                deferred.append(s)
+                continue
+            chain.append(s)
+            placed.add(s)
+            progressed = True
+        remaining = deferred
+        if not progressed:  # cycle impossible (strict length order), but stay safe
+            chain.extend(remaining)
+            break
+    return kept, chain
+
+
+@settings(**_SETTINGS)
+@given(data=st.one_of(st.binary(max_size=8192), ascii_texts))
+def test_refine_symbols_matches_reference(data):
+    """Measuring each symbol's gain by how much its replace shrinks the
+    buffer keeps exactly the symbols and chain of counting its matches."""
+    syms = train_symbols(data)
+    assert refine_symbols(syms, data) == _refine_symbols_reference(syms, data)
+
+
+def test_refine_symbols_matches_reference_fixed_cases():
+    """A high-byte-heavy input (escapes and high single-byte symbols in
+    the simulated chain) and the word stream of
+    ``test_fsst_refine_symbols_bitexact_and_fewer_passes``."""
+    rng = np.random.default_rng(7)
+    high = (
+        bytes(rng.integers(0x80, 0x100, 6000, dtype=np.uint8))
+        + b"caf\xc3\xa9 na\xc3\xafve r\xc3\xa9sum\xc3\xa9 " * 400
+    )
+    words = [b"the", b"quick", b"brown", b"fox", b"jumps", b"over", b"lazy", b"dog",
+             b"import", b"def ", b"return", b"self.", b"\xc3\xa9"]
+    stream = b" ".join(bytes(words[i]) for i in rng.integers(0, len(words), 200_000))
+    for data in (high, stream[: 1 << 17]):
+        syms = train_symbols(data)
+        kept, chain = refine_symbols(syms, data)
+        assert (kept, chain) == _refine_symbols_reference(syms, data)
+        assert 0 < len(kept) <= len(syms)
