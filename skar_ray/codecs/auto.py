@@ -2,10 +2,11 @@
 
 Replaces the reference's hardwired ``Encoding::Plain`` + page codec
 (/root/reference/skar/src/write_parquet.rs:49-53,232-244) with a
-sampling selector: stride-sample K rows of the column, encode the
-sample with every admissible codec (including the zstd page pass the
-container applies), and pick the minimum estimated bytes.  The choice
-and the per-candidate estimates are recorded in the partition manifest.
+sampling selector: stride-sample at most 1024 rows of the column, cap
+a string sample at a 64 KiB row prefix, encode the sample with every
+admissible codec (including the zstd page pass the container applies),
+and pick the minimum estimated bytes.  The choice and the per-candidate
+estimates are recorded in the partition manifest.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from . import base
 from . import plain, dictionary, rle, for_bitpack, fsst, delta, bytesplit, list_child, struct_child, map_child  # noqa: F401  (register codecs)
@@ -80,12 +82,15 @@ class Encoded:
         return len(self.blob)
 
 
-_SAMPLE_BYTE_CAP = 256 << 10
+# the FSST trainer's own budget; picks every codec a 256 KiB cap picked
+# on the benchmark corpora at half the selector time (BENCH.md addendum)
+_SAMPLE_BYTE_CAP = 64 << 10
 
 
 def sample_of(arr: pa.Array, sample_rows: int = _SAMPLE_ROWS) -> pa.Array:
-    """Stride-sample rows, additionally byte-capped for string columns so
-    estimating a blob-heavy column never costs more than ~1 MB of work."""
+    """Stride-sample ``sample_rows`` rows; for string columns keep only
+    the row prefix that first reaches ``_SAMPLE_BYTE_CAP`` bytes, so an
+    estimate reads at most 64 KiB plus one row of values."""
     n = len(arr)
     if n > sample_rows:
         idx = np.linspace(0, n - 1, sample_rows).astype(np.int64)
@@ -93,8 +98,6 @@ def sample_of(arr: pa.Array, sample_rows: int = _SAMPLE_ROWS) -> pa.Array:
     else:
         sample = arr
     if base.is_string_like(arr.type) and len(sample):
-        import pyarrow.compute as pc
-
         # fill_null: binary_length is null for null rows, and casting a
         # masked float array to int64 produces garbage sentinels that
         # break the cumsum/searchsorted cap
@@ -106,7 +109,7 @@ def sample_of(arr: pa.Array, sample_rows: int = _SAMPLE_ROWS) -> pa.Array:
     return sample
 
 
-def select_codec(arr: pa.Array, sample_rows: int = _SAMPLE_ROWS, fsst_table=None) -> tuple[str, dict]:
+def select_codec(arr: pa.Array, fsst_table=None) -> tuple[str, dict]:
     """Return (winner, per-candidate estimated bytes on the sample).
 
     ``fsst_table``: a pre-trained partition symbol table — reused for the
@@ -122,11 +125,9 @@ def select_codec(arr: pa.Array, sample_rows: int = _SAMPLE_ROWS, fsst_table=None
         if PlainCodec().can_encode(arr.type):
             return "plain", {}
         return candidates_for(arr.type)[0], {}
-    sample = sample_of(arr, sample_rows)
+    sample = sample_of(arr)
     names = candidates_for(arr.type)
     if base.is_string_like(arr.type) and len(sample) > 16:
-        import pyarrow.compute as pc
-
         # dict/rle cannot win on near-unique values; fsst cannot beat a
         # dictionary on near-constant ones — skip the losing estimates
         # (each costs a dictionary build / symbol-table training)

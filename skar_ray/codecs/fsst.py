@@ -384,24 +384,24 @@ class SymbolTable:
         return b"".join(parts)
 
 
+# 64 KiB sampled as 16 stride pieces: swept 32/48/64/128 KiB × 8/16/32
+# pieces on three 11 MB corpus partitions (BENCH.md r5 addendum 2) —
+# 64 KiB/16 trains 2× faster than the prior 128 KiB at equal-or-better
+# ratio (payload 0.394 vs 0.405, post-zstd 0.0453 vs 0.0455)
+_TRAIN_SAMPLE_BYTES = 1 << 16
+
+
 class FsstCodec:
     name = "fsst"
-
-    # 64 KiB sampled as 16 stride pieces: swept 32/48/64/128 KiB × 8/16/32
-    # pieces on three 11 MB corpus partitions (BENCH.md r5 addendum 2) —
-    # 64 KiB/16 trains 2× faster than the prior 128 KiB at equal-or-better
-    # ratio (payload 0.394 vs 0.405, post-zstd 0.0453 vs 0.0455)
-    def __init__(self, sample_bytes: int = 1 << 16):
-        self.sample_bytes = sample_bytes
 
     def can_encode(self, t: pa.DataType) -> bool:
         return base.is_string_like(t)
 
     def make_table(self, data: bytes) -> SymbolTable:
-        if len(data) > self.sample_bytes:
+        if len(data) > _TRAIN_SAMPLE_BYTES:
             # stride-sample contiguous slices across the buffer
             k = 16
-            piece = self.sample_bytes // k
+            piece = _TRAIN_SAMPLE_BYTES // k
             stride = len(data) // k
             sample = b"".join(data[i * stride : i * stride + piece] for i in range(k))
         else:

@@ -27,6 +27,8 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from . import query_encoded as qe
+
 TS_LO = "2024-01-10 00:00:00"
 TS_HI = "2024-01-20 00:00:00"
 MKT_SET = ["BUILDING", "MACHINERY"]
@@ -113,13 +115,14 @@ def dnf_selection(sf_dir: str) -> "ray.data.Dataset":
 
 
 def semi_join(sf_dir: str) -> "ray.data.Dataset":
-    """logs→transactions analog: collect matched keys (small), broadcast,
-    probe the other table with is_in."""
+    """logs→transactions analog: collect matched keys (ValueError above
+    qe.MAX_SEMI_JOIN_KEYS), broadcast, probe the other table with is_in."""
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
     keys = li.map_batches(
         lambda t: t.filter(pc.less(t["l_partkey"], 50)).select(["l_orderkey"]),
         batch_format="pyarrow",
     ).to_pandas()["l_orderkey"].unique()
+    qe.check_key_set(len(keys), qe.MAX_SEMI_JOIN_KEYS)
     key_set = pa.array(sorted(keys.tolist()), type=pa.int64())
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
     return orders.map_batches(
@@ -130,18 +133,21 @@ def semi_join(sf_dir: str) -> "ray.data.Dataset":
 
 def two_hop_semi_join(sf_dir: str) -> "ray.data.Dataset":
     """logs→transactions→blocks propagation analog (execution/mod.rs:21-65):
-    lineitem filter → order keys → orders → customer keys → customers."""
+    lineitem filter → order keys → orders → customer keys → customers,
+    each key set capped as in semi_join."""
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
     okeys = li.map_batches(
         lambda t: t.filter(pc.less(t["l_partkey"], 25)).select(["l_orderkey"]),
         batch_format="pyarrow",
     ).to_pandas()["l_orderkey"].unique()
+    qe.check_key_set(len(okeys), qe.MAX_SEMI_JOIN_KEYS)
     oset = pa.array(sorted(okeys.tolist()), type=pa.int64())
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     ckeys = orders.map_batches(
         lambda t: t.filter(pc.is_in(t["o_orderkey"], value_set=oset)).select(["o_custkey"]),
         batch_format="pyarrow",
     ).to_pandas()["o_custkey"].unique()
+    qe.check_key_set(len(ckeys), qe.MAX_SEMI_JOIN_KEYS)
     cset = pa.array(sorted(ckeys.tolist()), type=pa.int64())
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"])
     return cust.map_batches(
@@ -287,8 +293,6 @@ def token_frequency(sf_dir: str) -> pd.DataFrame:
         items = c.most_common()
         return pd.DataFrame({"token": [k for k, _ in items], "n": [v for _, v in items]})
 
-    from ray.data.aggregate import Sum
-
     merged = (
         ds.map_batches(partials, batch_format="pandas")
         .groupby("token")
@@ -307,8 +311,6 @@ def json_props_stats(sf_dir: str) -> pd.DataFrame:
     actor would hold a schema; here stdlib json is enough), extract a
     field, aggregate order-insensitively per event_type."""
     import json as _json
-
-    from ray.data.aggregate import Count, Max, Min
 
     ds = _read(sf_dir, "events", columns=["event_type", "props"])
 
@@ -331,8 +333,6 @@ def distinct_users_exact(sf_dir: str) -> pd.DataFrame:
     """Exact distinct-count per group: per-batch distinct pairs
     (pre-aggregation) → groupby over the much smaller pair set →
     count.  The exact complement of the HLL sketch query."""
-    from ray.data.aggregate import Count
-
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
     pairs = ds.map_batches(
         lambda t: pa.Table.from_pandas(t.to_pandas().drop_duplicates(), preserve_index=False),
@@ -355,7 +355,6 @@ def join_agg_segments(sf_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq
 
     from ..stages.joins import broadcast_join_one_to_one
-    from ray.data.aggregate import Count, Sum
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     cust = pq.read_table(

@@ -237,6 +237,18 @@ def query_encoded(
     return ds
 
 
+# the largest key set a broadcast semi-join may collect into the driver
+MAX_SEMI_JOIN_KEYS = 10_000_000
+
+
+def check_key_set(n_keys: int, max_keys: int) -> None:
+    if n_keys > max_keys:
+        raise ValueError(
+            f"semi-join key set has {n_keys} keys (> max_keys={max_keys}); "
+            "use a bucketed hash join over decoded datasets instead"
+        )
+
+
 def query_encoded_semi_join(
     store_a: str,
     store_b: str,
@@ -245,7 +257,7 @@ def query_encoded_semi_join(
     dnf_a: DNF | None = None,
     dnf_b: DNF | None = None,
     columns_b: list[str] | None = None,
-    max_keys: int = 10_000_000,
+    max_keys: int = MAX_SEMI_JOIN_KEYS,
     concurrency=None,
 ) -> "ray.data.Dataset":
     """Cross-table semi-join over two ENCODED stores — the reference's
@@ -282,11 +294,7 @@ def query_encoded_semi_join(
         .to_pandas()
     )
     keys = sorted(set(parts[key_a].tolist())) if len(parts) else []
-    if len(keys) > max_keys:
-        raise ValueError(
-            f"semi-join key set has {len(keys)} keys (> max_keys={max_keys}); "
-            "use a bucketed hash join over decoded datasets instead"
-        )
+    check_key_set(len(keys), max_keys)
     if not keys:
         # empty key set: nothing in B can match — reuse the typed-empty
         # path by pruning every partition with an impossible filter
@@ -380,6 +388,8 @@ def store_topk(
     sort last, i.e. never enter the top-k while k ≤ matching real rows
     — DuckDB's default NULLS LAST (note DuckDB itself sorts NaN FIRST
     on DESC; float callers wanting NaN rows must filter for them).
+    ``id_col`` must hold no nulls: a store whose header records a null
+    in it — filtered out or not — raises ValueError before any decode.
     ``with_info=True`` also returns
     {chunks_total, dnf_pruned, chunks_decoded} (pytest pins the
     pruning).
@@ -414,11 +424,13 @@ def store_topk(
             )
         out, dropped = [], 0
         for ci, ch in enumerate(header["chunks"]):
+            cms = {c["name"]: c for c in ch["columns"]}
+            if cms[id_col]["meta"].get("has_nulls"):  # every codec records the flag
+                raise ValueError(f"store_topk needs a non-null id_col; {id_col!r} has nulls in {path}")
             if filters and not dnf_possible(container._chunk_stats_of(ch), filters):
                 dropped += 1
                 continue
-            cm = next(c for c in ch["columns"] if c["name"] == value_col)
-            st = cm.get("minmax")
+            st = cms[value_col].get("minmax")
             if isinstance(st, dict) and "min" in st and "max" in st:
                 out.append((ci, st["min"], st["max"], ch["n_rows"]))
             else:

@@ -993,8 +993,6 @@ def curation_pipeline(sf_dir: str) -> pd.DataFrame:
     bucketed anti-join the dedup keep pipelines already use).  The SQL
     oracle chains the same three stages, so the hash match proves the
     composition end-to-end, not just the parts."""
-    import numpy as np
-
     from ..stages import dedup as dedup_mod
     from ..stages.text import _in_sorted
 
@@ -1173,8 +1171,6 @@ def decontaminate_bloom(sf_dir: str, k: int = 8, bench_mod: int = 10) -> pd.Data
     the shared hash exchange.  SBBFs have no false negatives and the
     exact join kills false positives, so the output equals
     ``decontaminate`` and shares its SQL oracle."""
-    import numpy as np
-
     from ..stages.groups import bucketed_group_apply
     from ..state.bloom import SplitBlockBloom
 

@@ -45,9 +45,6 @@ class PartitionPlan:
     n_partitions: int
     target_bytes: int
 
-    def pid_range(self) -> range:
-        return range(self.n_partitions)
-
 
 def content_sizes(batch: pa.Table, column: str = "content") -> np.ndarray:
     """Per-row value byte lengths without copying the data buffer."""

@@ -19,6 +19,7 @@ import os
 import struct
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..codecs import auto, base
 
@@ -43,8 +44,6 @@ def _chunk_stats(name: str, col) -> dict | None:
             return None
         t = col.type
         if name != "content" and (pa.types.is_string(t) or pa.types.is_large_string(t)):
-            import pyarrow.compute as pc
-
             distinct = pc.unique(col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)
             if len(distinct) <= 64:
                 st["distinct"] = sorted(v for v in distinct.to_pylist() if v is not None)
@@ -71,16 +70,13 @@ def _plan_column(col, codec_override: str | None = None):
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     fsst_table = None
-    if codec_override in (None, "fsst") and auto.base.is_string_like(col.type) and len(col):
-        import pyarrow.compute as pc
-
+    if codec_override in (None, "fsst") and base.is_string_like(col.type) and len(col):
         sample = auto.sample_of(col)
         distinct_ratio = pc.count_distinct(sample).as_py() / max(1, len(sample))
         if distinct_ratio >= 0.05:  # low-cardinality ⇒ dict wins, skip training
-            from ..codecs import base as cbase
             from ..codecs.fsst import FsstCodec
 
-            _, data = cbase.strings_to_buffers(cbase.split_nulls(col)[1])
+            _, data = base.strings_to_buffers(base.split_nulls(col)[1])
             fsst_table = FsstCodec().make_table(data)
     codec = codec_override
     estimates: dict = {}
@@ -319,7 +315,6 @@ def _dict_value_mask(dict_vals: pa.Array, op: str, value) -> "np.ndarray":
     dict/rle-coded chunks can never evaluate an op differently from
     other codecs."""
     import numpy as np
-    import pyarrow.compute as pc
 
     from .pruning import clause_compute
 
@@ -342,7 +337,6 @@ def encoded_clause_mask(blob: bytes, cm: dict, op: str, value) -> "np.ndarray | 
     and compares — exact either way)."""
     import numpy as np
 
-    from ..codecs import base as cbase
     from ..codecs.for_bitpack import bitunpack, unpack_ints_with_reference
     from ..codecs.plain import PlainCodec
 
@@ -371,7 +365,7 @@ def encoded_clause_mask(blob: bytes, cm: dict, op: str, value) -> "np.ndarray | 
             return v if INT64_MIN <= v <= INT64_MAX else None
 
         payload = auto.page_decompress(blob, cm["page"], cm["payload_len"])
-        _nulls, body = cbase.unpack_sections(payload)
+        _nulls, body = base.unpack_sections(payload)
         vals = unpack_ints_with_reference(body, meta, n)
         if op == "in":
             try:
@@ -418,14 +412,14 @@ def encoded_clause_mask(blob: bytes, cm: dict, op: str, value) -> "np.ndarray | 
     payload = auto.page_decompress(blob, cm["page"], cm["payload_len"])
     plain = PlainCodec()
     if cm["codec"] == "dict":
-        _nulls, idx_payload, val_payload = cbase.unpack_sections(payload)
+        _nulls, idx_payload, val_payload = base.unpack_sections(payload)
         vm = meta["values_meta"]
         dict_vals = plain.decode(val_payload, vm, vm["n"])
         vmask = _dict_value_mask(dict_vals, op, value)
         indices = bitunpack(idx_payload, meta["width"], n)
         return vmask[indices.astype(np.int64)]
     # rle: evaluate per run code, repeat by run length
-    _nulls, codes_payload, lens_payload, val_payload = cbase.unpack_sections(payload)
+    _nulls, codes_payload, lens_payload, val_payload = base.unpack_sections(payload)
     k = meta["n_runs"]
     run_codes = unpack_ints_with_reference(codes_payload, meta["codes_meta"], k)
     run_lens = unpack_ints_with_reference(lens_payload, meta["lens_meta"], k)
@@ -446,7 +440,6 @@ def encoded_group_codes(blob: bytes, cm: dict):
     small ints, only the dictionary decodes.  None when unsupported."""
     import numpy as np
 
-    from ..codecs import base as cbase
     from ..codecs.for_bitpack import bitunpack, unpack_ints_with_reference
     from ..codecs.plain import PlainCodec
 
@@ -457,12 +450,12 @@ def encoded_group_codes(blob: bytes, cm: dict):
     payload = auto.page_decompress(blob, cm["page"], cm["payload_len"])
     plain = PlainCodec()
     if cm["codec"] == "dict":
-        _nulls, idx_payload, val_payload = cbase.unpack_sections(payload)
+        _nulls, idx_payload, val_payload = base.unpack_sections(payload)
         vm = meta["values_meta"]
         dict_vals = plain.decode(val_payload, vm, vm["n"])
         codes = bitunpack(idx_payload, meta["width"], n).astype(np.int64)
     else:
-        _nulls, codes_payload, lens_payload, val_payload = cbase.unpack_sections(payload)
+        _nulls, codes_payload, lens_payload, val_payload = base.unpack_sections(payload)
         k = meta["n_runs"]
         run_codes = unpack_ints_with_reference(codes_payload, meta["codes_meta"], k).astype(np.int64)
         run_lens = unpack_ints_with_reference(lens_payload, meta["lens_meta"], k).astype(np.int64)
@@ -480,7 +473,6 @@ def encoded_byte_lengths(blob: bytes, cm: dict) -> "np.ndarray | None":
     materialize.  None when the codec/meta doesn't support it."""
     import numpy as np
 
-    from ..codecs import base as cbase
     from ..codecs.for_bitpack import unpack_ints_with_reference
 
     meta = cm["meta"]
@@ -492,17 +484,15 @@ def encoded_byte_lengths(blob: bytes, cm: dict) -> "np.ndarray | None":
         return None
     payload = auto.page_decompress(blob, cm["page"], cm["payload_len"])
     if cm["codec"] == "fsst":
-        _nulls, lens_payload, _table, _enc = cbase.unpack_sections(payload)
+        _nulls, lens_payload, _table, _enc = base.unpack_sections(payload)
         return unpack_ints_with_reference(lens_payload, meta["lens_meta"], n).astype(np.int64)
     if cm["codec"] == "plain":
-        sections = cbase.unpack_sections(payload)
+        sections = base.unpack_sections(payload)
         return np.frombuffer(sections[1], dtype=np.int64)
     gc = encoded_group_codes(blob, cm)
     if gc is None:
         return None
     codes, dict_vals = gc
-    import pyarrow.compute as pc
-
     val_lens = np.asarray(pc.binary_length(dict_vals)).astype(np.int64)
     return val_lens[codes]
 
@@ -514,14 +504,13 @@ def encoded_int_values(blob: bytes, cm: dict) -> "np.ndarray | None":
     pushdown (the same stream ``encoded_clause_mask`` compares against).
     None when the codec/meta doesn't support it (caller decodes —
     exact either way)."""
-    from ..codecs import base as cbase
     from ..codecs.for_bitpack import unpack_ints_with_reference
 
     meta = cm["meta"]
     if meta.get("has_nulls") or cm["codec"] != "for_bitpack":
         return None
     payload = auto.page_decompress(blob, cm["page"], cm["payload_len"])
-    _nulls, body = cbase.unpack_sections(payload)
+    _nulls, body = base.unpack_sections(payload)
     return unpack_ints_with_reference(body, meta, meta["n"])
 
 
@@ -532,7 +521,6 @@ def encoded_distinct_values(blob: bytes, cm: dict) -> "list | None":
     stream is never touched.  None when the codec carries no dictionary
     or the chunk has nulls (the null filler would pollute the set —
     caller decodes, exact either way)."""
-    from ..codecs import base as cbase
     from ..codecs.plain import PlainCodec
 
     meta = cm["meta"]
@@ -540,9 +528,9 @@ def encoded_distinct_values(blob: bytes, cm: dict) -> "list | None":
         return None
     payload = auto.page_decompress(blob, cm["page"], cm["payload_len"])
     if cm["codec"] == "dict":
-        _nulls, _idx, val_payload = cbase.unpack_sections(payload)
+        _nulls, _idx, val_payload = base.unpack_sections(payload)
     else:
-        _nulls, _codes, _lens, val_payload = cbase.unpack_sections(payload)
+        _nulls, _codes, _lens, val_payload = base.unpack_sections(payload)
     vm = meta["values_meta"]
     return PlainCodec().decode(val_payload, vm, vm["n"]).to_pylist()
 
@@ -556,7 +544,6 @@ def encoded_value_counts(blob: bytes, cm: dict) -> "dict | None":
     doesn't support it (caller decodes and counts — exact either way)."""
     import numpy as np
 
-    from ..codecs import base as cbase
     from ..codecs.for_bitpack import bitunpack, unpack_ints_with_reference
     from ..codecs.plain import PlainCodec
 
@@ -569,13 +556,13 @@ def encoded_value_counts(blob: bytes, cm: dict) -> "dict | None":
     payload = auto.page_decompress(blob, cm["page"], cm["payload_len"])
     plain = PlainCodec()
     if cm["codec"] == "dict":
-        _nulls, idx_payload, val_payload = cbase.unpack_sections(payload)
+        _nulls, idx_payload, val_payload = base.unpack_sections(payload)
         vm = meta["values_meta"]
         dict_vals = plain.decode(val_payload, vm, vm["n"])
         indices = bitunpack(idx_payload, meta["width"], n).astype(np.int64)
         counts = np.bincount(indices, minlength=len(dict_vals))
     else:
-        _nulls, codes_payload, lens_payload, val_payload = cbase.unpack_sections(payload)
+        _nulls, codes_payload, lens_payload, val_payload = base.unpack_sections(payload)
         k = meta["n_runs"]
         run_codes = unpack_ints_with_reference(codes_payload, meta["codes_meta"], k).astype(np.int64)
         run_lens = unpack_ints_with_reference(lens_payload, meta["lens_meta"], k).astype(np.int64)
@@ -622,7 +609,6 @@ def read_container(path: str, columns: list[str] | None = None,
     returned, and chunks with an all-false mask are never decoded.
     """
     import numpy as np
-    import pyarrow.compute as pc
 
     header, blob_start = header_info if header_info is not None else read_header(path)
     schema_cols = [name for name, _ in header["schema"]]

@@ -130,6 +130,65 @@ def test_estimate_ranks_codecs_usefully():
     assert actual[name] <= best * 1.5, (name, est, actual)
 
 
+def test_selector_sample_is_a_64_kib_row_prefix():
+    """The selector estimates on at most 1024 stride rows and, for a
+    string column, only the row prefix that first reaches 64 KiB: 600
+    values of 2-4 KB come back as that prefix, over 64 KiB by less than
+    its last row; a column under both bounds comes back whole."""
+    import pyarrow.compute as pc
+
+    from skar_ray.codecs.auto import sample_of
+
+    rng = np.random.default_rng(3)
+    arr = pa.array(["x" * int(n) for n in rng.integers(2000, 4001, 600)])
+    s = sample_of(arr)
+    sizes = np.asarray(pc.binary_length(s))
+    assert s.equals(arr.slice(0, len(s)))
+    assert sizes[:-1].sum() < 64 << 10 <= sizes.sum()
+
+    small = pa.array([f"row {i} " * 6 for i in range(1023)] + [None])
+    assert pc.sum(pc.binary_length(small)).as_py() < 64 << 10
+    assert sample_of(small).equals(small)
+
+
+# per-column codec of each partition (in pkey order) of the seed-1
+# perfbench corpus, identical under the selector's 256 KiB and 64 KiB caps
+SEED1_CODECS = {
+    "repo": "dict dict dict dict dict dict plain dict dict dict dict plain plain",
+    "path": "plain plain fsst plain plain plain fsst plain plain plain plain fsst fsst",
+    "commit": " ".join(["dict"] * 13),
+    "lang": "dict rle dict dict dict rle rle rle plain dict rle dict rle",
+    "content": " ".join(["fsst"] * 13),
+}
+
+
+def test_selector_sample_keeps_perfbench_choices_and_bytes(tmp_path):
+    """The seed-1 perfbench corpus, planned at the benchmark's 600 KB
+    target and encoded one partition at a time with the max profile,
+    picks the codecs and writes the bytes it did with a 256 KiB sample."""
+    import pyarrow.compute as pc
+
+    from skar_ray.corpus import CorpusSpec, build_corpus
+    from skar_ray.stages.encoder import encode_partition
+    from skar_ray.stages.partitioner import assign_pkeys, content_sizes, make_plan
+    from skar_ray.state import container
+
+    t = build_corpus(CorpusSpec(n_rows=1999, seed=1))
+    per_repo = pa.table({"repo": t["repo"], "b": content_sizes(t)}).group_by("repo").aggregate([("b", "sum")])
+    sizes = pa.table({"repo": per_repo["repo"], "bytes": per_repo["b_sum"]})
+    t = assign_pkeys(t, make_plan(sizes, 600_000))
+    codecs, total = {}, 0
+    for pk in sorted(set(t["pkey"].to_pylist())):
+        s = encode_partition(t.filter(pc.equal(t["pkey"], pk)), str(tmp_path), 1 << 20)
+        total += sum(s.column("enc_bytes").to_pylist())
+        header, _ = container.read_header(str(tmp_path / f"part-{pk:06d}.skarc"))
+        (chunk,) = header["chunks"]
+        for cm in chunk["columns"]:
+            codecs.setdefault(cm["name"], []).append(cm["codec"])
+    assert {c: " ".join(v) for c, v in codecs.items()} == SEED1_CODECS
+    assert total == 846_970
+
+
 LIST_CASES = {
     "float_lists": pa.array([[1.0, 2.0], [3.5], [], [4.0, 5.0, 6.0]], type=pa.list_(pa.float32())),
     "null_lists": pa.array([[1.0, 2.0], None, []], type=pa.list_(pa.float32())),

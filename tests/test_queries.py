@@ -86,3 +86,15 @@ def test_rowgroup_pushdown_prunes(tmp_path):
 
     got = ray.data.read_parquet(path, columns=["event_id", "ts"], filter=expr).count()
     assert got == 2000
+
+
+def test_broadcast_semi_joins_cap_the_key_set(ray_session, monkeypatch):
+    """The raw-table semi-joins collect their key sets into the driver;
+    above the shared MAX_SEMI_JOIN_KEYS they raise the encoded
+    semi-join's ValueError instead of broadcasting an unbounded set."""
+    from skar_ray.pipelines import queries, query_encoded
+
+    monkeypatch.setattr(query_encoded, "MAX_SEMI_JOIN_KEYS", 1)
+    for fn in (queries.semi_join, queries.two_hop_semi_join):
+        with pytest.raises(ValueError, match=r"semi-join key set has \d+ keys \(> max_keys=1\)"):
+            fn(SF_DIR)

@@ -818,6 +818,33 @@ def test_store_topk_prunes_and_matches_bruteforce(ray_session, tmp_path):
     assert len(got4) == len(df)  # the null row never appears
 
 
+def test_store_topk_rejects_null_ids(ray_session, tmp_path):
+    """A null ``id_col`` cannot be ranked (object ids raised TypeError,
+    float ids emitted NaN): store_topk raises a ValueError naming the
+    column from the header, even when the null sits on the top-valued
+    row or a filter would drop its chunk."""
+    import os
+
+    import pyarrow as pa
+
+    from skar_ray.pipelines.query_encoded import store_topk
+    from skar_ray.state import container, manifest
+
+    for ids in ([3, 1, None, 2], ["c", "a", None, "b"], [3.0, 1.0, None, 2.0]):
+        t = pa.table({"doc_id": ids, "v": pa.array([10, 20, 99, 5], type=pa.int64())})
+        out = str(tmp_path / f"store-{type(ids[0]).__name__}")
+        os.makedirs(out)
+        container.write_container(os.path.join(out, "part-0.skarc"), t,
+                                  chunk_rows=[(0, 2), (2, 2)])
+        manifest.write_manifest(out, manifest.PartitionManifest(
+            partition_id=0, status="done", n_rows=4, n_chunks=2,
+            data_file="part-0.skarc", raw_bytes=1, enc_bytes=1,
+            content_sha256=""))
+        for filters in (None, [[("v", "<", 4)]]):  # the filter prunes every chunk
+            with pytest.raises(ValueError, match="non-null id_col; 'doc_id'"):
+                store_topk(out, "v", k=2, id_col="doc_id", filters=filters)
+
+
 def test_store_topk_filtered_composes_pruning(ray_session, tmp_path):
     """WHERE + ORDER BY LIMIT composed on the encoded form: chunks
     failing the DNF's stats test drop header-only, the DNF row mask
