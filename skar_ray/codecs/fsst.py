@@ -19,19 +19,18 @@ Code-space layout (chosen so ASCII text needs no escapes):
 Because the whole concatenated value buffer is encoded in one pass
 (symbols may span row boundaries — decode restores the exact byte
 stream), row boundaries are carried by the original lengths,
-FoR+bit-packed separately.  Training counts n-grams with one sort per
-length on exact (rank-composite past 8 bytes) uint64 window keys, only
-for columns the container plan may encode as FSST; encoding is a
+FoR+bit-packed separately.  Training counts the n-grams of every
+length from one sort of 16-byte prefixes and cuts all candidates once,
+only for columns the container plan may encode as FSST; encoding is a
 pyarrow ``replace_substring`` chain over cache-resident pieces;
 decoding is one Arrow binary take per escape-free segment.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from . import base
 from .for_bitpack import pack_ints_with_reference, unpack_ints_with_reference
@@ -42,8 +41,10 @@ ESCAPE = 0xFF
 # training window cap: 16 measured best on the code corpus — longer
 # symbols save more bytes per replace AND shrink the buffer faster
 # (ratio 0.384→0.377, encode 11→13 MB/s/core vs 8); past 16 the ratio
-# plateaus while the decode gather matrix widens (45→26 MB/s)
+# plateaus
 _MAX_LEN = 16
+# x < _BYTE_STEPS[j] for as many j as the uint64 x has leading zero bytes
+_BYTE_STEPS = np.uint64(1) << np.arange(0, 64, 8, dtype=np.uint64)
 
 
 def train_symbols(sample: bytes, max_symbols: int = MAX_SYMBOLS) -> list[bytes]:
@@ -54,73 +55,71 @@ def train_symbols(sample: bytes, max_symbols: int = MAX_SYMBOLS) -> list[bytes]:
     (≥0x80) never being part of a later symbol match.  Single-byte
     symbols are allowed for frequent high bytes (saves their escape).
 
-    Windows are grouped by exact uint64 keys, one ``np.unique`` per
-    length: ``keys[j]`` is every j-byte window (j ≤ 8) little-endian,
-    so a key IS its bytes and the symbol is read back from it.  A
-    window of L > 8 bytes is the pair (k1, k2) of its first 8 and last
-    j = L - 8 bytes, keyed ``rank(k1) << w | k2``: ``rank`` is the
-    dense rank of ``keys[8]`` (16 bits at a 64 KiB sample), and k2 is
-    the raw key (w = 8j) while both fit in 64 bits, else its own dense
-    rank (two ranks of < 2^32 values always fit).  Both ranks preserve
-    order and the low field never overflows its w bits, so ascending
-    key order is ascending (k1, k2): the groups, counts and order of
-    the window-matrix reference the tests pin, hence the same top-256
-    cut and symbols.  Memory: eight key arrays, 64 B per sample byte
-    (4 MiB at 64 KiB).
+    The rule: every ASCII window of 2..16 bytes counted at least 4
+    times gains ``count * (L - 1)``, every high byte counted at least 4
+    times gains its count, and the top ``max_symbols`` by (-gain,
+    bytes) win.  Past 512 Ki windows of one length only every step-th
+    start is counted, and the count is scaled by the step.
+
+    All lengths are counted from one sort: positions ordered by their
+    first 16 bytes (padded with 0xFF past the end), keyed ``rank(i) <<
+    b | rank(i + 8)`` with ``rank`` the dense rank of the big-endian
+    8-byte key.  The common prefix of sorted neighbours (from the XOR
+    of their keys) splits the order into runs, and the runs where it is
+    at least L are the distinct L-byte windows.  A window's bytes are
+    ASCII for all of a run or for none of it (the padding is high
+    bytes), so a run's size is its count.  Without striding, a run
+    dropped at one length only splits into runs dropped at the next, so
+    it leaves the order.
     """
     if len(sample) < 4:
         return []
-    buf = np.frombuffer(sample, dtype=np.uint8)
-    n = len(buf)
+    n = len(sample)
+    pad = np.frombuffer(sample + b"\xff" * 15, dtype=np.uint8)
     # frequent high bytes: encoding one as a symbol saves the escape byte
-    hi_vals, hi_counts = np.unique(buf[buf >= 0x80], return_counts=True)
-    candidates = [(c, bytes([v])) for v, c in zip(hi_vals.tolist(), hi_counts.tolist()) if c >= 4]
-    # keys[j][i]: the j bytes at i as a little-endian uint64
-    keys = [None, buf.astype(np.uint64)]
-    for j in range(2, min(8, n) + 1):
-        keys.append(keys[j - 1][: n - j + 1] | keys[1][j - 1 :] << np.uint64(8 * (j - 1)))
-
-    @functools.cache
-    def rank(j):  # (sorted unique keys[j], dense rank per window, rank bits)
-        u, r = np.unique(keys[j], return_inverse=True)
-        return u, r.astype(np.uint64), (len(u) - 1).bit_length()
-
-    # high[i]: high bytes before i; window i..i+L-1 is ASCII iff high[i+L] == high[i]
-    high = np.r_[0, np.cumsum(buf >= 0x80)]
-    for L in range(2, _MAX_LEN + 1):
-        if n <= L:
-            break
-        m, j = n - L + 1, L - 8  # windows of length L; bytes past the first 8
-        keep = high[L:] == high[:m]
-        # subsample long windows for speed: scan <= ~512K windows per length
-        step = max(1, m // (1 << 19))
-        if step > 1:
-            starts = np.arange(0, m, step)
-            keep = starts[keep[starts]]
-        if L <= 8:
-            key = keys[L][:m][keep]
+    hi = np.flatnonzero(pad[:n] >= 0x80)
+    _, first, hi_counts = np.unique(pad[hi], return_index=True, return_counts=True)
+    # k8[i]: the 8 bytes at i as a big-endian uint64
+    k8 = pad[: n + 8].astype(np.uint64) << np.uint64(56)
+    for j in range(1, 8):
+        k8 |= pad[j : j + n + 8].astype(np.uint64) << np.uint64(56 - 8 * j)
+    u8, r8 = np.unique(k8, return_inverse=True)
+    b = np.uint64((len(u8) - 1).bit_length())
+    order = np.argsort(r8[:n].astype(np.uint64) << b | r8[8:].astype(np.uint64))
+    # lcp[k]: bytes sorted position k shares with k - 1 (0 at k = 0, at most 16)
+    x = k8[order[1:]] ^ k8[order[:-1]]
+    lcp = np.zeros(n, dtype=np.int8)
+    lcp[1:] = sum(x < t for t in _BYTE_STEPS)
+    eq = np.flatnonzero(x == 0) + 1
+    y = k8[order[eq] + 8] ^ k8[order[eq - 1] + 8]
+    lcp[eq] += sum(y < t for t in _BYTE_STEPS)
+    # lim[i]: the longest ASCII window at i
+    nxt = np.where(pad >= 0x80, np.arange(len(pad)), len(pad))
+    lim = np.minimum.accumulate(nxt[::-1])[::-1][:n] - np.arange(n)
+    # candidates: gains and refs (start * 32 + length)
+    gains, refs = [hi_counts[hi_counts >= 4]], [hi[first[hi_counts >= 4]] * 32 + 1]
+    for L in range(2, min(_MAX_LEN, n) + 1):
+        step = max(1, (n - L + 1) >> 19)
+        starts = np.flatnonzero(lcp < L)
+        if step == 1:
+            cnt = np.diff(starts, append=len(order))
         else:
-            u8, r8, b8 = rank(8)
-            uj, lo, w = (None, keys[j], 8 * j) if j < 8 and b8 + 8 * j <= 64 else rank(j)
-            key = r8[:m][keep] << np.uint64(w) | lo[8 : 8 + m][keep]
-        grams, counts = np.unique(key, return_counts=True)
-        # O(n) top-256, not a full argsort over up to 512K uniques (the cut's
-        # tie order is deterministic; refine_symbols re-checks every survivor)
-        if len(counts) > 256:
-            part = np.argpartition(counts, -256)[-256:]
-            top = part[np.argsort(counts[part])[::-1]]
-        else:
-            top = np.argsort(counts)[::-1]
-        c = counts[top] * step
-        g, c = grams[top[c >= 4]], c[c >= 4]
-        if L > 8:
-            k2 = g & np.uint64((1 << w) - 1)
-            g = np.stack((u8[g >> np.uint64(w)], k2 if uj is None else uj[k2]), axis=1)
-        raw = g.astype("<u8").tobytes()
-        syms = [raw[r : r + L] for r in range(0, len(raw), 16 if L > 8 else 8)]
-        candidates.extend(zip((c * (L - 1)).tolist(), syms))
-    candidates.sort(key=lambda t: (-t[0], t[1]))
-    return list(dict.fromkeys(sym for _, sym in candidates))[:max_symbols]
+            cnt = np.add.reduceat(order % step == 0, starts) * step
+        head = order[starts]
+        sel = (cnt >= 4) & (lim[head] >= L)
+        gains.append(cnt[sel] * (L - 1))
+        refs.append(head[sel] * 32 + L)
+        if step == 1:
+            keep = np.repeat(sel, cnt)
+            order, lcp = order[keep], lcp[keep]
+            if not len(order):
+                break
+    gain, ref = np.concatenate(gains), np.concatenate(refs)
+    if len(gain) > max_symbols:  # one cut; ties at it go by bytes below
+        top = np.flatnonzero(gain >= np.partition(gain, -max_symbols)[-max_symbols])
+        gain, ref = gain[top], ref[top]
+    cands = sorted((-g, sample[r >> 5 : (r >> 5) + (r & 31)]) for g, r in zip(gain.tolist(), ref.tolist()))
+    return [s for _, s in cands[:max_symbols]]
 
 
 def refine_symbols(
@@ -322,15 +321,13 @@ class SymbolTable:
         # cache-resident at many workers; one pass over ALL pieces per
         # symbol would be a full-buffer DRAM sweep per pass (measured
         # 1.4× slower even single-core).
-        import pyarrow.compute as _pc
-
         pieces = [data[s : s + self._PIECE] for s in range(0, len(data), self._PIECE)]
         grp = max(1, self._GROUP // self._PIECE)
         parts = []
         for g in range(0, len(pieces), grp):
             arr = pa.array(pieces[g : g + grp], type=pa.binary())
             for sym, code in self._multi:
-                arr = _pc.replace_substring(arr, pattern=sym, replacement=code)
+                arr = pc.replace_substring(arr, pattern=sym, replacement=code)
             # the data buffer IS the concatenated values; slice by the
             # logical offsets (buffers may carry padding past the last
             # offset, so index by array length)
@@ -348,8 +345,6 @@ class SymbolTable:
         offsets buffer of the take result (4 bytes/code)."""
         if len(codes) == 0:
             return b""
-        import pyarrow.compute as pc
-
         out = []
         CH = 1 << 22  # 4M codes/chunk -> 16 MB offsets temp
         for s in range(0, len(codes), CH):

@@ -933,7 +933,7 @@ def _inject_pii(batch: pd.DataFrame) -> pd.DataFrame:
     the scrub stage is exercised with real matches and the SQL oracle
     re-derives the identical augmented text (same pattern as the
     multimodal ops synthesizing their PNG/WAV payloads in-query)."""
-    b = batch.reset_index(drop=True)
+    b = batch.reset_index(drop=True).fillna({"text": ""})  # null text as ''
     d = b["doc_id"].astype("int64")
     s = d.astype(str)
     alt = (" alt." + s + "@mail" + (d % 3).astype(str) + ".net").where(d % 2 == 0, "")
@@ -1023,7 +1023,7 @@ def _inject_decomposed(batch: pd.DataFrame) -> pd.DataFrame:
     """Append doc_id-derived DECOMPOSED Unicode (combining acute,
     ANGSTROM SIGN compatibility singleton) so NFC normalization has
     real work — same in-query synthesis rationale as _inject_pii."""
-    b = batch.reset_index(drop=True)
+    b = batch.reset_index(drop=True).fillna({"text": ""})  # null text as ''
     d = b["doc_id"].astype("int64")
     aug = (
         b["text"] + " cafe\u0301 No" + (d % 3).astype(str) + "\u212b"
@@ -2233,7 +2233,7 @@ GROUP BY m.rid, m.repo, m.path, m."commit", m.n_lines""",
     # proves the redaction bytes and counts, not just row counts.
     "pii_scrub": (
         pii_scrub,
-        "WITH a AS (SELECT doc_id, text || ' contact user' || CAST(doc_id AS VARCHAR)"
+        "WITH a AS (SELECT doc_id, coalesce(text, '') || ' contact user' || CAST(doc_id AS VARCHAR)"
         " || '@ex' || CAST(doc_id % 5 AS VARCHAR) || '.org'"
         " || CASE WHEN doc_id % 2 = 0 THEN ' alt.' || CAST(doc_id AS VARCHAR)"
         " || '@mail' || CAST(doc_id % 3 AS VARCHAR) || '.net' ELSE '' END"
@@ -2279,8 +2279,8 @@ GROUP BY m.rid, m.repo, m.path, m."commit", m.n_lines""",
     "normalize_nfc": (
         normalize_nfc,
         "WITH a AS (SELECT doc_id, CASE WHEN doc_id % 2 = 0 THEN"
-        " text || ' cafe' || chr(769) || ' No' || CAST(doc_id % 3 AS VARCHAR) || chr(8491)"
-        " ELSE text END AS text FROM documents) "
+        " coalesce(text, '') || ' cafe' || chr(769) || ' No' || CAST(doc_id % 3 AS VARCHAR) || chr(8491)"
+        " ELSE coalesce(text, '') END AS text FROM documents) "
         "SELECT doc_id, md5(nfc_normalize(text)) AS nfc_md5, "
         "CAST(length(nfc_normalize(text)) AS BIGINT) AS nfc_len, "
         "CAST(nfc_normalize(text) != text AS BIGINT) AS changed FROM a",

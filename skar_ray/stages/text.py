@@ -716,7 +716,7 @@ class PiiScrubber:
         self.ip = _IPV4_RE
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        t = batch["text"]
+        t = batch["text"].fillna("")  # null text scrubs as ''
         n_emails = t.str.count(self.email).astype("int64")
         t1 = t.str.replace(self.email, "<EMAIL>", regex=True)
         n_ips = t1.str.count(self.ip).astype("int64")
@@ -921,7 +921,7 @@ class NfcNormalizer:
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         import unicodedata
 
-        t = batch["text"]
+        t = batch["text"].fillna("")  # null text normalizes as ''
         nfc = t.map(lambda s: unicodedata.normalize("NFC", s))
         return pd.DataFrame(
             {

@@ -720,6 +720,35 @@ def test_nfc_normalizer_composes(ray_session):
     assert out.loc[1, "nfc_md5"] == hashlib.md5("\u00c5".encode()).hexdigest()
 
 
+def test_pii_and_nfc_are_total_on_null_text():
+    """A null ``text`` row scrubs and normalizes as '' (``str.count``
+    used to yield NaN and fail the int cast; ``unicodedata.normalize``
+    raised on None), and both registry oracles coalesce it to '' the
+    same way, so the stage and its SQL still agree row for row."""
+    import hashlib
+
+    import duckdb
+
+    from skar_ray.pipelines import registry
+
+    documents = pd.DataFrame(
+        {"doc_id": [0, 1, 2, 3], "text": ["a@b.org 1.2.3.4", None, "cafe\u0301", None]}
+    )
+    pii = text.PiiScrubber()(documents)
+    assert list(pii["n_emails"]) == [1, 0, 0, 0] and list(pii["n_ips"]) == [1, 0, 0, 0]
+    assert pii.loc[1, "clean_md5"] == pii.loc[3, "clean_md5"] == hashlib.md5(b"").hexdigest()
+    nfc = text.NfcNormalizer()(documents)
+    assert list(nfc["nfc_len"]) == [15, 0, 4, 0] and list(nfc["changed"]) == [0, 0, 1, 0]
+    assert nfc.loc[1, "nfc_md5"] == hashlib.md5(b"").hexdigest()
+    for name, inject, stage in (
+        ("pii_scrub", registry._inject_pii, text.PiiScrubber),
+        ("normalize_nfc", registry._inject_decomposed, text.NfcNormalizer),
+    ):
+        got = stage()(inject(documents)).sort_values("doc_id").reset_index(drop=True)
+        want = duckdb.sql(registry.QUERIES[name][1]).df().sort_values("doc_id").reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want[list(got.columns)], check_dtype=False)
+
+
 def test_dedup_paragraphs_large_doc_ids_stay_exact(ray_session):
     """Regression: keys compared through float64 would collapse
     adjacent (doc_id, pos) keys for doc_id >= 2^33 (float64 has 53

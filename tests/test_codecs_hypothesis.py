@@ -1,6 +1,8 @@
 """Property-based codec round-trips (hypothesis) — randomized analog of
 the reference's scalar edge tests (format/src/types/quantity.rs:117-189)."""
 
+from collections import Counter
+
 import numpy as np
 import pyarrow as pa
 from hypothesis import HealthCheck, given, settings
@@ -178,13 +180,55 @@ ascii_texts = st.one_of(
 ).map(str.encode)
 
 
+def _train_symbols_rule(sample: bytes, max_symbols: int = MAX_SYMBOLS) -> list[bytes]:
+    """``train_symbols``' rule by brute force: count every window of
+    2..16 bytes with a Counter (past 512 Ki windows of a length, every
+    step-th start, scaled by the step), keep the ASCII ones and the
+    high bytes counted at least 4 times, and cut once by (-gain, bytes)."""
+    if len(sample) < 4:
+        return []
+    gains = {bytes([v]): c for v, c in Counter(b for b in sample if b >= 0x80).items() if c >= 4}
+    for L in range(2, _MAX_LEN + 1):
+        step = max(1, (len(sample) - L + 1) >> 19)
+        counts = Counter(sample[i : i + L] for i in range(0, len(sample) - L + 1, step))
+        gains.update((w, c * step * (L - 1)) for w, c in counts.items() if c * step >= 4 and max(w) < 0x80)
+    return sorted(gains, key=lambda s: (-gains[s], s))[:max_symbols]
+
+
 @settings(**_SETTINGS)
 @given(data=st.one_of(st.binary(max_size=8192), ascii_texts))
 def test_train_symbols_matches_reference(data):
-    """The key-grouping trainer returns exactly the symbol list of the
-    window-matrix reference: same groups, same counts, same order into
-    the top-256 cut."""
-    assert train_symbols(data) == _train_symbols_reference(data)
+    """The one-sort trainer returns exactly the symbol list of its rule,
+    counted by brute force."""
+    assert train_symbols(data) == _train_symbols_rule(data)
+
+
+def test_train_symbols_counts_no_window_past_the_end():
+    """A sample that ends in a prefix of a window it repeats with 0x00
+    bytes: the tail must not join (or head) that window's run, so
+    padding past the end may never read as ASCII bytes."""
+    for data in (b"ab\x00c" * 4 + b"ab", b"ab\x00\x00" * 3 + b"ab\x00", b"q\x00" * 5 + b"q"):
+        assert train_symbols(data) == _train_symbols_rule(data), data
+
+
+def test_train_symbols_cuts_ties_once_by_bytes():
+    """400 distinct 3-letter words, each 4 times, between 0xFF bytes:
+    hundreds of windows tie at the global cut, and the ties go by bytes
+    across every length.  The old trainer kept an arbitrary 256 of one
+    length's ties before the cut (argpartition order) — the one input
+    kind where the two differ."""
+    rng = np.random.default_rng(3)
+    alphabet = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", np.uint8)
+    words = list(dict.fromkeys(bytes(w) for w in rng.choice(alphabet, (600, 3))))[:400]
+    assert len(words) == 400
+    data = b"\xff".join(words * 4)
+    syms = train_symbols(data)
+    assert syms == _train_symbols_rule(data)
+    # every word gains 8 (4 × 2 saved); the cut falls among them, so the
+    # words that make it are the smallest of all 400
+    three = [s for s in syms if len(s) == 3]
+    assert len(syms) == MAX_SYMBOLS and 0 < len(three) < 400
+    assert three == sorted(words)[: len(three)]
 
 
 def test_train_symbols_matches_reference_fixed_cases():
@@ -218,6 +262,40 @@ def test_train_symbols_matches_reference_fixed_cases():
     cases.append(wide)
     for data in cases:
         assert train_symbols(data) == _train_symbols_reference(data), len(data)
+
+
+def test_train_symbols_matches_reference_on_perfbench_samples(monkeypatch):
+    """Every ``make_table`` sample of the perfbench seed 1-3 corpora (the
+    cached ``ensure_corpus`` copies) — each partition of the benchmark's
+    600 KB plan, lexsorted as the encoder writes it, every string column
+    — trains exactly the symbols of the window-matrix reference: the
+    global cut departs from the old per-length one only on contrived
+    ties, never on this data."""
+    import os
+
+    import pyarrow.compute as pc
+
+    from skar_ray.codecs import base, fsst
+    from skar_ray.corpus import ensure_corpus, read_corpus_table
+    from skar_ray.stages.encoder import lexsort
+    from skar_ray.stages.partitioner import assign_pkeys, content_sizes, make_plan
+
+    samples = []
+    monkeypatch.setattr(fsst, "train_symbols", lambda s: samples.append(s) or [])
+    for seed in (1, 2, 3):
+        t = read_corpus_table(os.path.join(ensure_corpus(1999, seed), "corpus.parquet"))
+        per_repo = pa.table({"repo": t["repo"], "b": content_sizes(t)}).group_by("repo").aggregate([("b", "sum")])
+        t = assign_pkeys(t, make_plan(pa.table({"repo": per_repo["repo"], "bytes": per_repo["b_sum"]}), 600_000))
+        for pk in sorted(set(t["pkey"].to_pylist())):
+            part = lexsort(t.filter(pc.equal(t["pkey"], pk)))
+            for col in part.columns:
+                if base.is_string_like(col.type):
+                    _, data = base.strings_to_buffers(base.split_nulls(col.combine_chunks())[1])
+                    fsst.FsstCodec().make_table(data)
+    monkeypatch.undo()
+    assert len(samples) > 150
+    for s in samples:
+        assert train_symbols(s) == _train_symbols_reference(s), len(s)
 
 
 def _refine_symbols_reference(
