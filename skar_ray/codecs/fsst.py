@@ -1,14 +1,14 @@
 """FSST-style static-symbol-table codec for string/binary columns.
 
 Built from scratch following the published FSST idea (Boncz, Neumann,
-Leis: "FSST: Fast Random Access String Compression", VLDB 2020): a
-small table of byte-sequence symbols (1..8 bytes) is trained per
-partition on a sample, and the column's value bytes are rewritten as
-1-byte codes.  This replaces the generic page compression the reference
-relies on (Plain encoding + Zstd(9) pages,
-/root/reference/skar/src/write_parquet.rs:49-53,232-244) with a
-column-aware lightweight scheme; the container's zstd page pass can
-still run on top of the code stream.
+Leis: "FSST: Fast Random Access String Compression", VLDB 2020): a small
+table of byte-sequence symbols is trained on a sample — once per hashed
+encode for ``content``, on pieces of every input file, else per
+partition — and every container embeds it; value bytes become 1-byte
+codes.  This replaces the generic page compression the reference relies
+on (Plain encoding + Zstd(9) pages, skar/src/write_parquet.rs:49-53,
+232-244) with a column-aware lightweight scheme; the container's zstd
+page pass can still run on top of the code stream.
 
 Code-space layout (chosen so ASCII text needs no escapes):
 - ``0x00..0x7F``  — literal passthrough: the code IS the byte.

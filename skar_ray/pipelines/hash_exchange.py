@@ -18,6 +18,9 @@ version):
     reduce    (one per pkey): ray.get(refs) → concat →
               ``encode_partition``
 
+While the maps run, the driver trains the job's one ``content`` FSST
+table on a sample stratified by input file; every reduce embeds it.
+
 Plasma traffic is one write + one read of the data — the sort path
 pays that twice plus the sort compute.  Partitioning assumption: one
 pkey's rows fit in one reduce task (guaranteed by the skew-aware plan's
@@ -35,11 +38,14 @@ own partitions, not the whole reduce phase.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pyarrow as pa
 
 import ray
 
+from ..codecs import base
+from ..codecs.fsst import FsstCodec
 from ..stages import partitioner
 from ..stages.encoder import encode_partition
 from .encode_job import _input_paths
@@ -104,12 +110,34 @@ def _map_split(paths: list[str], plan: "partitioner.PartitionPlan",
 @ray.remote
 def _reduce_encode(pkey: int, refs: list["ray.ObjectRef"], out_dir: str,
                    chunk_target_bytes: int, input_fingerprint: str,
-                   codec_overrides: dict | None, validate: bool = True) -> dict:
+                   codec_overrides: dict | None, fsst_tables: dict | None,
+                   validate: bool = True) -> dict:
     tables = ray.get(list(refs))
     t = pa.concat_tables(tables).combine_chunks() if len(tables) > 1 else tables[0]
     summary = encode_partition(t, out_dir, chunk_target_bytes, input_fingerprint,
-                               codec_overrides, validate=validate)
+                               codec_overrides, validate=validate, fsst_tables=fsst_tables)
     return {k: summary.column(k)[0].as_py() for k in summary.column_names}
+
+
+def content_sample(paths: list[str]) -> bytes:
+    """The job's ``content`` FSST training sample: 16 pieces of 4 KiB,
+    piece ``i`` from ``paths[i * len(paths) // 16]``.  A partition holds
+    one or a few repos, and a table fitted to it generalises worse.  A
+    file's pieces are spread along the first 1 MiB of its content (one
+    file can hold tens of MB); a head no longer than them is taken whole."""
+    import pyarrow.parquet as pq
+
+    out: list[bytes] = []
+    for p, k in Counter(paths[i * len(paths) // 16] for i in range(16)).items():
+        head = b""
+        # buffer_size streams the column chunk (unbuffered: all 15 MB at sf0.1)
+        for b in pq.ParquetFile(p, buffer_size=1 << 20).iter_batches(256, columns=["content"]):
+            head = (head + base.strings_to_buffers(base.split_nulls(b.column(0))[1])[1])[: 1 << 20]
+            if len(head) == 1 << 20:
+                break
+        step = max(len(head) // k, 4096)  # a head of ≤ k pieces tiles whole
+        out += [head[j * step : j * step + 4096] for j in range(k)]
+    return b"".join(out)
 
 
 def file_repo_sets(paths: list[str]) -> dict[str, list[str]]:
@@ -190,6 +218,12 @@ def run_hashed_encode(
                 if pk not in skip_pkeys:
                     contrib.setdefault(pk, set()).add(gi)
 
+    # content's table for the whole job, if it can be FSST (_plan_column's rule);
+    # path and commit keep per-partition tables: a shared one measured worse
+    can_fsst = (codec_overrides or {}).get("content") in (None, "fsst")
+    sample = content_sample(paths) if contrib and can_fsst else b""
+    fsst_tables = {"content": FsstCodec().make_table(sample)} if sample else None
+
     # ray.wait-driven: launch each pkey's reduce the moment every map
     # group that can contribute to it has finished
     done_maps: dict[int, dict[int, "ray.ObjectRef"]] = {}
@@ -209,7 +243,7 @@ def run_hashed_encode(
                 # O(P²) bytes across the reduce wave at scale
                 futs.append(_reduce_encode.remote(
                     pk, refs, out_dir, chunk_target_bytes,
-                    input_fingerprint.get(pk, ""), codec_overrides, validate,
+                    input_fingerprint.get(pk, ""), codec_overrides, fsst_tables, validate,
                 ))
             launched.add(pk)
 
@@ -229,7 +263,7 @@ def run_hashed_encode(
     for pk, refs in sorted(leftovers.items()):
         futs.append(_reduce_encode.remote(
             pk, refs, out_dir, chunk_target_bytes,
-            input_fingerprint.get(pk, ""), codec_overrides, validate,
+            input_fingerprint.get(pk, ""), codec_overrides, fsst_tables, validate,
         ))
     rows = ray.get(futs)
     if not rows:

@@ -4,7 +4,7 @@ The reference's sources are JSON-RPC (network) and its own Parquet
 folders (/root/reference/skar/src/query/data_provider.rs:121-183).
 Ours: Parquet (primary), JSON/CSV (debug-scale), and `.skarc`
 container directories (the engine's own encoded format, read back as a
-first-class projected source).
+first-class projected source by ``pipelines.query_encoded``).
 """
 
 from __future__ import annotations
@@ -24,20 +24,6 @@ def read_json(path: str, **kwargs) -> "ray.data.Dataset":
 
 def read_csv(path: str, **kwargs) -> "ray.data.Dataset":
     return ray.data.read_csv(path, **kwargs)
-
-
-def read_skarc(
-    out_dir: str,
-    columns: list[str] | None = None,
-    filters=None,
-    concurrency=None,  # None → partition-count/CPU-sized pool (query_encoded)
-) -> "ray.data.Dataset":
-    """Read an encoded partition directory back as a Dataset — the
-    engine's own format as a source, with projection, DNF filters and
-    manifest-based partition pruning."""
-    from ..pipelines.query_encoded import query_encoded
-
-    return query_encoded(out_dir, columns=columns, filters=filters, concurrency=concurrency)
 
 
 def read_arrow_ipc(path: str) -> "ray.data.Dataset":

@@ -147,13 +147,15 @@ def encode_partition(
     validate: bool = True,
     sort_fn=None,
     sort_keys_label: list[str] | None = None,
+    fsst_tables: dict | None = None,
 ) -> pa.Table:
     """Encode one partition; returns a 1-row summary table.
 
     ``sort_fn`` overrides the pre-write clustering (default
     ``lexsort`` by SORT_KEYS) — e.g. ``lambda t: zsort(t, keys)`` for
     multi-column z-order stores; ``sort_keys_label`` is recorded in
-    the container header alongside it.
+    the container header alongside it.  ``fsst_tables``: column name →
+    the job's FSST table (``write_container``).
 
     ``validate=True`` (default) decode-verifies the temp container —
     content column round-trip vs the partition sha256 digest already in
@@ -226,6 +228,7 @@ def encode_partition(
                "sort_keys": sort_keys_label
                or (SORT_KEYS if sort_fn is None else ["custom"])},
         validator=validator,
+        fsst_tables=fsst_tables,
     )
     timings["encode_write"] = time.time() - t1
 

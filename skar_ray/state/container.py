@@ -58,19 +58,20 @@ def _chunk_stats(name: str, col) -> dict | None:
         return None
 
 
-def _plan_column(col, codec_override: str | None = None):
+def _plan_column(col, codec_override: str | None = None, shared_table=None):
     """Partition-level codec plan for ONE column: auto-select the codec
-    on a sample unless ``codec_override`` names it, and train one FSST
-    symbol table (reused across chunks) only when FSST can be chosen —
-    no override or an ``"fsst"`` override — and the column is
-    high-cardinality string-like.  Any other override skips the sample,
-    the distinct count and the training.  Shared by write_container and
-    append_column so a derived column gets exactly the same codec
-    treatment as an encode-time one."""
+    on a sample unless ``codec_override`` names it.  When FSST can be
+    chosen — no override or an ``"fsst"`` override — a string-like
+    column uses ``shared_table``, the job's table, if given; else it
+    trains one table (reused across chunks) if it is high-cardinality.
+    Any other override skips the sample, the distinct count and the
+    training.  Shared by write_container and append_column so a derived
+    column gets exactly the same codec treatment as an encode-time one."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    fsst_table = None
-    if codec_override in (None, "fsst") and base.is_string_like(col.type) and len(col):
+    can_fsst = codec_override in (None, "fsst") and base.is_string_like(col.type) and len(col)
+    fsst_table = shared_table if can_fsst else None
+    if can_fsst and fsst_table is None:
         sample = auto.sample_of(col)
         distinct_ratio = pc.count_distinct(sample).as_py() / max(1, len(sample))
         if distinct_ratio >= 0.05:  # low-cardinality ⇒ dict wins, skip training
@@ -89,11 +90,13 @@ def _plan_column(col, codec_override: str | None = None):
 
 def write_container(path: str, table: pa.Table, chunk_rows: list[tuple[int, int]] | None = None,
                     codec_overrides: dict[str, str] | None = None,
-                    extra: dict | None = None, validator=None) -> dict:
+                    extra: dict | None = None, validator=None,
+                    fsst_tables: dict | None = None) -> dict:
     """Encode `table` chunk-by-chunk and write the container atomically.
 
     ``chunk_rows`` is a list of (offset, length) slices; default one
     chunk.  Returns the header dict (with per-column byte accounting).
+    ``fsst_tables``: column name → the job's FSST table (``_plan_column``).
 
     ``validator``, if given, is called with the TEMP file path after
     the write and before the publishing rename — the reference
@@ -106,17 +109,18 @@ def write_container(path: str, table: pa.Table, chunk_rows: list[tuple[int, int]
     if chunk_rows is None:
         chunk_rows = [(0, table.num_rows)]
     codec_overrides = codec_overrides or {}
+    fsst_tables = fsst_tables or {}
 
     # partition-level codec plan: select ONCE per column (sampled), and
-    # train ONE FSST symbol table per column per partition (the
-    # north-star's per-partition symbol tables) reused across chunks —
-    # per-chunk re-training/re-selection would dominate encode time.
-    # Only columns that can end up FSST train: an override naming any
-    # other codec skips training altogether.
+    # use ONE FSST symbol table per column across chunks — the job's
+    # (the hashed encode's content table) or one trained on this
+    # partition; per-chunk re-training/re-selection would dominate
+    # encode time.  Every container embeds its tables.  Only columns
+    # that can end up FSST train: any other override skips training.
     plan: dict[str, tuple[str, object, dict]] = {}
     for name in table.column_names:
         _, codec, fsst_table, estimates = _plan_column(
-            table.column(name), codec_overrides.get(name)
+            table.column(name), codec_overrides.get(name), fsst_tables.get(name)
         )
         plan[name] = (codec, fsst_table, estimates)
 
@@ -427,11 +431,6 @@ def encoded_clause_mask(blob: bytes, cm: dict, op: str, value) -> "np.ndarray | 
     dict_vals = plain.decode(val_payload, vm, vm["n"])
     vmask = _dict_value_mask(dict_vals, op, value)
     return np.repeat(vmask[run_codes.astype(np.int64)], run_lens)
-
-
-def encoded_equality_mask(blob: bytes, cm: dict, values: list) -> "np.ndarray | None":
-    """Back-compat shim: ``col ∈ values`` on the encoded form."""
-    return encoded_clause_mask(blob, cm, "in", values)
 
 
 def encoded_group_codes(blob: bytes, cm: dict):

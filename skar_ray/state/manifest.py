@@ -82,10 +82,6 @@ def scan_manifests(out_dir: str) -> dict[int, PartitionManifest]:
     return out
 
 
-def done_partition_ids(out_dir: str) -> set[int]:
-    return set(scan_manifests(out_dir).keys())
-
-
 def sweep_orphans(out_dir: str, live_ids) -> int:
     """Remove every done partition NOT in ``live_ids`` (container file
     + manifest).  The rollback-truncation analog shared by encode,

@@ -18,12 +18,15 @@ import pyarrow.parquet as pq
 from skar_ray.corpus import read_corpus_table
 import pytest
 
+from skar_ray.codecs import auto, base
+from skar_ray.codecs.fsst import FsstCodec, SymbolTable
 from skar_ray.corpus import ensure_corpus
 from skar_ray.pipelines.decode_job import decoded_dataset, run_verify_job
-from skar_ray.pipelines.encode_job import _cached_plan, run_encode_job
+from skar_ray.pipelines.encode_job import _cached_plan, _input_paths, run_encode_job
+from skar_ray.pipelines.hash_exchange import content_sample
 from skar_ray.stages.encoder import encode_partition
 from skar_ray.stages.partitioner import assign_pkeys, make_plan, repo_size_prepass
-from skar_ray.state import manifest
+from skar_ray.state import container, manifest
 
 N_ROWS = 2000
 OUT = "/tmp/skar_pytest_out"
@@ -129,6 +132,128 @@ def test_resume_skips_done_partitions(ray_session, encoded):
     assert before == after, "resume must not rewrite finished partitions"
 
 
+def test_copied_corpus_resumes_every_partition(ray_session, encoded, tmp_path):
+    """Per-partition fingerprints key on file names, sizes and mtimes,
+    not on where the corpus lives: a copy of the corpus (copytree keeps
+    mtimes) encoded into the same store resume-skips every partition."""
+    corpus, _ = encoded
+    copy = str(tmp_path / "corpus.parquet")
+    shutil.copytree(corpus, copy)
+    before = {f: os.path.getmtime(os.path.join(OUT, f)) for f in os.listdir(OUT)}
+    summary = run_encode_job(copy, OUT, target_partition_bytes=2 << 20, chunk_target_bytes=1 << 20)
+    assert summary.filter(pc.field("skipped")).num_rows == summary.num_rows
+    assert {f: os.path.getmtime(os.path.join(OUT, f)) for f in before} == before
+
+
+def _fsst_symbols(path: str, column: str) -> list[bytes] | None:
+    """The symbols of the table a container's first chunk embeds for
+    ``column``; None when the column is not fsst-encoded."""
+    header, blob_start = container.read_header(path)
+    (cm,) = [c for c in header["chunks"][0]["columns"] if c["name"] == column]
+    if cm["codec"] != "fsst":
+        return None
+    with open(path, "rb") as f:
+        f.seek(blob_start + cm["offset"])
+        blob = f.read(cm["length"])
+    payload = auto.page_decompress(blob, cm["page"], cm["payload_len"])
+    return SymbolTable.deserialize(base.unpack_sections(payload)[2]).symbols
+
+
+def test_hashed_encode_shares_one_content_table(encoded):
+    """A hashed encode trains ONE content table from the file-stratified
+    sample and every container embeds it; path keeps a table trained
+    per partition."""
+    corpus, summary = encoded
+    files = sorted(os.path.join(OUT, f) for f in os.listdir(OUT) if f.endswith(".skarc"))
+    assert len(files) > 1
+    want = FsstCodec().make_table(content_sample(_input_paths(corpus))).symbols
+    assert all(_fsst_symbols(f, "content") == want for f in files)
+    fsst_paths = 0
+    for f in files:
+        got = _fsst_symbols(f, "path")
+        if got is not None:
+            col = container.read_container(f, columns=["path"]).column("path").combine_chunks()
+            assert got == FsstCodec().make_table(base.strings_to_buffers(col)[1]).symbols
+            fsst_paths += 1
+    assert fsst_paths > 1
+
+
+def test_content_sample_is_stratified_by_input_file(tmp_path):
+    """Piece i (4 KiB) comes from input file ``i * n // 16``; a file's
+    pieces are spread along the first 1 MiB of its content."""
+    def write(name, rows):
+        path = str(tmp_path / name)
+        pq.write_table(pa.table({"content": pa.array(rows, pa.large_string())}), path)
+        return path
+
+    many = [write(f"a{j:02d}.parquet", [chr(65 + j) * 5000, "tail"]) for j in range(20)]
+    assert content_sample(many) == b"".join(chr(65 + i * 20 // 16).encode() * 4096 for i in range(16))
+    text = "".join(f"{i:07d}\n" for i in range(1 << 18))  # 2 MiB in one row
+    step = (1 << 20) // 8
+    want = "".join(text[j * step : j * step + 4096] for j in range(8)).encode()
+    assert content_sample([write(f"b{j}.parquet", [text]) for j in range(2)]) == want * 2
+
+
+def test_fast_profile_trains_no_table(ray_session, corpus_dir, tmp_path, monkeypatch):
+    """The fast profile overrides every column, so neither the driver
+    nor a reduce task calls ``make_table``."""
+    import ray
+
+    from skar_ray.pipelines import hash_exchange
+
+    driver_calls = []
+    real_make_table = FsstCodec.make_table
+    monkeypatch.setattr(FsstCodec, "make_table",
+                        lambda self, data: driver_calls.append(len(data)) or real_make_table(self, data))
+    real_reduce = hash_exchange._reduce_encode._function
+
+    @ray.remote
+    def counting_reduce(*args, **kwargs):
+        from skar_ray.codecs.fsst import FsstCodec as Codec
+
+        calls = []
+        orig = Codec.make_table
+        Codec.make_table = lambda self, data: calls.append(len(data)) or orig(self, data)
+        try:
+            row = real_reduce(*args, **kwargs)
+        finally:
+            Codec.make_table = orig
+        return {**row, "trained": len(calls)}
+
+    monkeypatch.setattr(hash_exchange, "_reduce_encode", counting_reduce)
+    corpus = os.path.join(corpus_dir, "corpus.parquet")
+    s = run_encode_job(corpus, str(tmp_path / "fast"), target_partition_bytes=2 << 20,
+                       chunk_target_bytes=1 << 20, profile="fast")
+    assert s.num_rows > 1 and s.column("trained").to_pylist() == [0] * s.num_rows
+    assert driver_calls == []
+
+
+@pytest.mark.parametrize("content", ["all_null", "under_4_kib"])
+def test_hashed_encode_of_sparse_content_verifies(ray_session, tmp_path, content):
+    """The shared content table's sampler copes with a corpus whose
+    content is all null (an empty sample: no shared table) or under
+    4 KiB in total (the sample is all of it)."""
+    from skar_ray.corpus import CorpusSpec, build_corpus
+
+    t = build_corpus(CorpusSpec(n_rows=60, seed=3))
+    i = t.column_names.index("content")
+    if content == "all_null":
+        col = pa.nulls(t.num_rows, pa.large_string())
+    else:
+        col = pa.array([f"x{r % 7} = {r}" for r in range(t.num_rows)], pa.large_string())
+    t = t.set_column(i, "content", col)
+    corpus = str(tmp_path / "corpus.parquet")
+    os.makedirs(corpus)
+    for k in range(3):
+        pq.write_table(t.slice(20 * k, 20), os.path.join(corpus, f"part-{k:04d}.parquet"))
+    assert len(content_sample(_input_paths(corpus))) < 4 << 10
+    out = str(tmp_path / "store")
+    s = run_encode_job(corpus, out, target_partition_bytes=1 << 10, chunk_target_bytes=1 << 20)
+    assert s.num_rows >= 1
+    v = run_verify_job(corpus, out)
+    assert v["rows_match"] and v["digests_verified"]
+
+
 def test_export_job_resumable(ray_session, encoded, tmp_path):
     from skar_ray.pipelines.decode_job import run_export_job
 
@@ -166,14 +291,16 @@ def test_hashed_mode_matches_inprocess_reference_and_resumes(ray_session, corpus
     # reference with no exchange: assign pkeys to the whole corpus in
     # process and encode each pkey's rows directly — the exchange must
     # deliver exactly those rows to each partition, bit for bit
+    # (with the job's one content table, trained on the same sample)
     plan, _ = _cached_plan(corpus, 2 << 20)
     keyed = assign_pkeys(read_corpus_table(corpus), plan)
+    shared = {"content": FsstCodec().make_table(content_sample(_input_paths(corpus)))}
     ref_dir = str(tmp_path / "reference")
     cols = ["partition_id", "n_rows", "raw_bytes", "enc_bytes", "content_sha256"]
     want = []
     for pk in sorted(set(keyed.column("pkey").to_pylist())):
         rows = keyed.filter(pc.equal(keyed.column("pkey"), pk))
-        r = encode_partition(rows, ref_dir, 1 << 20)
+        r = encode_partition(rows, ref_dir, 1 << 20, fsst_tables=shared)
         want.append(tuple(r.column(c)[0].as_py() for c in cols))
     got = sorted(zip(*(s1.column(c).to_pylist() for c in cols)))
     assert got == sorted(want), "hash exchange must produce the reference partitions"

@@ -140,7 +140,7 @@ def test_encoded_form_filter_matches_decoded(encoded):
                 blob = f.read(cm["length"])
             col = container.read_container(p, columns=[cm["name"]], chunk_indices=[ch_i]).column(cm["name"])
             probe = col[0].as_py()
-            mask = container.encoded_equality_mask(blob, cm, [probe])
+            mask = container.encoded_clause_mask(blob, cm, "in", [probe])
             if mask is None:
                 continue
             want = np.asarray(pc.equal(col.combine_chunks(), probe))

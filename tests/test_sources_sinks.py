@@ -1,4 +1,4 @@
-"""Sources/sinks: read_skarc, Arrow-IPC sink, hex-JSON encoding."""
+"""Sources/sinks: .skarc stores as a source, Arrow-IPC sink, hex-JSON encoding."""
 
 import os
 import shutil
@@ -8,7 +8,6 @@ import pyarrow as pa
 import pyarrow.ipc as ipc
 import pytest
 
-from skar_ray.sources.readers import read_skarc
 from skar_ray.sources.sinks import hex_encode_binary_columns, write_arrow_ipc
 
 
@@ -35,18 +34,19 @@ def test_write_arrow_ipc_roundtrip(tmp_path):
     assert back.equals(t)
 
 
-def test_read_skarc_roundtrip(ray_session):
+def test_skarc_store_as_source_roundtrip(ray_session):
     import shutil
 
     from skar_ray.corpus import ensure_corpus
     from skar_ray.pipelines.encode_job import run_encode_job
+    from skar_ray.pipelines.query_encoded import query_encoded
 
     d = ensure_corpus(2000)
     out = tempfile.mkdtemp(prefix="skar_src_test_")
     try:
         run_encode_job(os.path.join(d, "corpus.parquet"), out,
                        target_partition_bytes=2 << 20, chunk_target_bytes=1 << 20)
-        ds = read_skarc(out, columns=["repo", "lang"], filters=[[("lang", "==", "python")]])
+        ds = query_encoded(out, columns=["repo", "lang"], filters=[[("lang", "==", "python")]])
         df = ds.to_pandas()
         assert set(df.columns) == {"repo", "lang"}
         assert (df["lang"] == "python").all()
