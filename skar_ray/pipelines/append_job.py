@@ -12,9 +12,13 @@ never rewriting history.  Ours:
 3. extend the plan with brand-new repos (fresh pids appended after the
    existing range — existing pids never renumber);
 4. affected pids = the pid ranges of every repo present in the delta;
-5. decode ONLY those partitions from the store (no base corpus read),
-   union with the new rows, re-assign pkeys, re-encode the affected
-   groups — untouched partitions are not even opened;
+5. one hash exchange (``hash_exchange.run_hashed_encode``) over the
+   pending affected containers plus the delta's files: the maps decode
+   ONLY those containers (digest-checked, no base corpus read) and
+   stream the new rows, assign pkeys, and each affected pkey's reduce
+   re-encodes it — untouched partitions are not even opened.  A map
+   holding a container counts toward every pkey, so a pkey fed by both
+   the delta and a container waits for both;
 6. persist the extended plan for the next append.
 
 A repo whose appended rows outgrow its bucket count keeps its pid
@@ -22,8 +26,8 @@ range (partitions grow past target); ``run_compact_job`` rebalances.
 
 Idempotent on retry: each re-encoded manifest carries the append's
 delta fingerprint, so a partially-failed append re-run skips the
-partitions that already merged this delta and filters their delta rows
-out — rows are never applied twice.
+partitions that already merged this delta and drops their delta rows
+(``skip_pkeys``) — rows are never applied twice.
 """
 
 from __future__ import annotations
@@ -33,15 +37,11 @@ import os
 import pickle
 
 import numpy as np
-import pyarrow as pa
-
-import ray.data
 
 from ..stages import partitioner
-from ..stages.decoder import DecoderActor
-from ..stages.encoder import encode_partition
 from ..state import manifest as manifest_mod
-from .encode_job import FAST_PROFILE_OVERRIDES, _cached_plan, corpus_dataset
+from .encode_job import FAST_PROFILE_OVERRIDES, _cached_plan, _corpus_fingerprint, corpus_dataset
+from .hash_exchange import container_sources, run_hashed_encode
 
 
 def _plan_path(out_dir: str) -> str:
@@ -72,7 +72,6 @@ def run_append_job(
     chunk_target_bytes: int = 16 << 20,
     codec_overrides: dict[str, str] | None = None,
     profile: str = "max",
-    concurrency=None,
 ) -> dict:
     """Append `new_rows_path` into the encoded store at `out_dir`,
     re-encoding only the partitions whose repos the delta touches.
@@ -112,8 +111,6 @@ def run_append_job(
         affected.update(range(s, s + nb))
 
     plan_hash = hashlib.sha256(repr(sorted(plan.repos.items())).encode()).hexdigest()[:16]
-    from .encode_job import _corpus_fingerprint
-
     delta_fp = _corpus_fingerprint(new_rows_path)
     input_fingerprint = f"append:{delta_fp}:{target_bytes}:{plan_hash}"
 
@@ -133,55 +130,23 @@ def run_append_job(
             "already_done": len(already),
             "total_partitions": len(manifests),
         }
-    # keep only delta rows destined for still-pending partitions
-    if already:
-        import pyarrow.compute as _pc
-
-        pend_arr = pa.array(sorted(pending))
-        new_ds = new_ds.map_batches(
-            lambda b: (lambda k: k.filter(_pc.is_in(k.column("pkey"), value_set=pend_arr)).drop_columns(["pkey"]))(
-                partitioner.assign_pkeys(b, plan)
-            ),
-            batch_format="pyarrow",
-        )
-
-    # decode ONLY the pending affected partitions (no base read)
-    rows = [
-        {
-            "partition_id": pid,
-            "data_file": manifests[pid].data_file,
-            "n_rows": manifests[pid].n_rows,
-            "content_sha256": manifests[pid].content_sha256,
-        }
-        for pid in sorted(pending & set(manifests))
-    ]
-    if rows:
-        if concurrency is None:
-            from ..runtime import pool_size
-
-            concurrency = pool_size()
-        # verify=True: a crash BETWEEN container publish and manifest
-        # write leaves a torn partition (new bytes, old manifest) whose
-        # silent re-append would duplicate rows — the digest check makes
-        # that state fail loudly instead
-        old = ray.data.from_items(rows).map_batches(
-            DecoderActor,
-            fn_constructor_kwargs=dict(out_dir=out_dir, verify=True),
-            batch_format="pyarrow", batch_size=1, concurrency=concurrency,
-        )
-        full = old.union(new_ds)
-    else:
-        full = new_ds
-    keyed = full.map_batches(lambda b: partitioner.assign_pkeys(b, plan), batch_format="pyarrow")
-    enc = keyed.groupby("pkey").map_groups(
-        lambda g: encode_partition(g, out_dir, chunk_target_bytes, input_fingerprint, codec_overrides),
-        batch_format="pyarrow",
+    # one exchange over the pending affected containers plus the delta;
+    # delta rows of already-merged partitions drop at the map side.
+    # The decode checks each container's digest: a crash BETWEEN
+    # container publish and manifest write leaves a torn partition (new
+    # bytes, old manifest) whose silent re-append would duplicate rows —
+    # the check makes that state fail loudly instead
+    summary = run_hashed_encode(
+        container_sources(out_dir, [manifests[pid] for pid in sorted(pending & set(manifests))])
+        + partitioner.input_paths(new_rows_path),
+        out_dir, plan, chunk_target_bytes,
+        dict.fromkeys(range(plan.n_partitions), input_fingerprint),
+        skip_pkeys=frozenset(already), codec_overrides=codec_overrides,
     )
-    summary = enc.to_pandas()
     save_dir_plan(out_dir, plan, target_bytes)
     return {
         "affected_partitions": sorted(affected),
-        "reencoded": len(summary),
+        "reencoded": summary.num_rows,
         "appended_rows": int(delta_rows),
         "already_done": len(already),
         "total_partitions": len(manifest_mod.scan_manifests(out_dir)),

@@ -3,24 +3,34 @@
 The reference's core loop accumulates small in-memory chunks and
 periodically compacts them into big sorted Parquet folders
 (/root/reference/skar/src/skar_runner.rs:285-331).  Our analog
-re-expresses compaction as pure composition: decode the source
-partitions (streaming actor pool) → re-plan with a larger target →
-salted-partition encode into a fresh directory.  Because partitions are
-self-describing and the manifest carries an order-insensitive row-digest
-union (sum of per-row sha256s mod 2^256), compaction is verifiable from
-manifests alone: the source union must equal the destination union even
-though the partitioning changed (checked here as ``digests_match``; row
-counts are compared as well).
+re-expresses compaction as pure composition:
+
+1. size pre-pass on the encoded form (``stats.store_group_bytes``: per
+   repo row counts and content byte lengths read from the code and
+   length streams, no content decode) → re-plan with a larger target;
+2. the hash exchange (``hash_exchange.run_hashed_encode``) over every
+   source container: each map decodes its containers with the digest
+   checked against the source manifest, so a corrupted source raises
+   and nothing is published; each reduce encodes one destination
+   partition.
+
+Because partitions are self-describing and the manifest carries an
+order-insensitive row-digest union (sum of per-row sha256s mod 2^256),
+compaction is verifiable from manifests alone: the source union must
+equal the destination union even though the partitioning changed
+(checked here as ``digests_match``; row counts are compared as well).
 """
 
 from __future__ import annotations
 
 import os
 
+import pyarrow as pa
+
 from ..stages import partitioner
-from ..stages.encoder import encode_partition
 from ..state import manifest as manifest_mod
-from .decode_job import decoded_dataset
+from .hash_exchange import container_sources, run_hashed_encode
+from .stats import store_group_bytes
 
 
 def run_compact_job(
@@ -30,36 +40,25 @@ def run_compact_job(
     chunk_target_bytes: int = 16 << 20,
 ) -> dict:
     os.makedirs(dest_dir, exist_ok=True)
-    # materialize once: the size pre-pass AND the re-encode both consume
-    # the decoded store — two lazy decoded_dataset() pipelines would
-    # decode every container twice (the dominant cost of a compaction);
-    # the materialized blocks live in the object store and spill to disk
-    # rather than paying a second full decode
-    ds = decoded_dataset(src_dir).materialize()
-    sizes = partitioner.repo_size_prepass(ds, target_partition_bytes)
-    plan = partitioner.make_plan(sizes, target_partition_bytes)
+    sizes = store_group_bytes(src_dir, "repo", "content")
+    plan = partitioner.make_plan(
+        pa.table({"repo": sizes["value"], "bytes": sizes["total_bytes"]}), target_partition_bytes
+    )
     fingerprint = f"compact:{src_dir}:{target_partition_bytes}"
-    keyed = ds.map_batches(
-        lambda b: partitioner.assign_pkeys(b, plan), batch_format="pyarrow"
+    src_manifests = manifest_mod.scan_manifests(src_dir)
+    out = run_hashed_encode(
+        container_sources(src_dir, src_manifests.values()), dest_dir, plan, chunk_target_bytes,
+        dict.fromkeys(range(plan.n_partitions), fingerprint),
     )
-    summary = keyed.groupby("pkey").map_groups(
-        lambda g: encode_partition(g, dest_dir, chunk_target_bytes, fingerprint),
-        batch_format="pyarrow",
-    )
-    import pandas as pd  # noqa: F401
-
-    out = summary.to_pandas()
 
     # orphan sweep (same contract as run_encode_job): a re-compaction
     # into a previously-used dest_dir can stop producing some partition
     # ids, which would pollute the digest comparison below
-    live = set(int(p) for p in out["partition_id"]) if len(out) else set()
-    manifest_mod.sweep_orphans(dest_dir, live)
+    manifest_mod.sweep_orphans(dest_dir, set(out.column("partition_id").to_pylist()))
 
-    src_manifests = manifest_mod.scan_manifests(src_dir)
     dest_manifests = manifest_mod.scan_manifests(dest_dir)
     src_rows = sum(m.n_rows for m in src_manifests.values())
-    dest_rows = int(out["n_rows"].sum())
+    dest_rows = sum(out.column("n_rows").to_pylist())
 
     def _digest_union(ms) -> int | None:
         """Order-insensitive row-digest union (sum of per-row sha256s
@@ -77,7 +76,7 @@ def run_compact_job(
     src_sum, dest_sum = _digest_union(src_manifests), _digest_union(dest_manifests)
     return {
         "src_partitions": len(src_manifests),
-        "dest_partitions": len(out),
+        "dest_partitions": out.num_rows,
         "rows_match": src_rows == dest_rows,
         "digests_match": (src_sum == dest_sum) if src_sum is not None and dest_sum is not None else None,
         "src_rows": src_rows,

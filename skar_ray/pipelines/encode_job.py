@@ -82,18 +82,10 @@ def _corpus_fingerprint(corpus_path: str) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    for p in _input_paths(corpus_path):
+    for p in partitioner.input_paths(corpus_path):
         st = os.stat(p)
         h.update(f"{p}:{st.st_size}:{st.st_mtime_ns}".encode())
     return h.hexdigest()[:16]
-
-
-def _input_paths(corpus_path: str) -> list[str]:
-    return (
-        [os.path.join(corpus_path, f) for f in sorted(os.listdir(corpus_path)) if f.endswith(".parquet")]
-        if os.path.isdir(corpus_path)
-        else [corpus_path]
-    )
 
 
 def _pkey_fingerprints(corpus_path: str, plan, plan_hash: str,
@@ -120,7 +112,7 @@ def _pkey_fingerprints(corpus_path: str, plan, plan_hash: str,
 
     from .hash_exchange import file_repo_sets
 
-    paths = _input_paths(corpus_path)
+    paths = partitioner.input_paths(corpus_path)
     cached = file_repo_sets(paths)
     stats: dict[str, str] = {}
     for p in paths:
@@ -259,7 +251,7 @@ def run_encode_job(
         from .hash_exchange import run_hashed_encode
 
         summary = run_hashed_encode(
-            corpus_path, out_dir, plan, chunk_target_bytes, pkey_fp,
+            partitioner.input_paths(corpus_path), out_dir, plan, chunk_target_bytes, pkey_fp,
             skip_pkeys=frozenset(done.keys()), codec_overrides=codec_overrides,
             validate=validate,
         )

@@ -1,4 +1,4 @@
-"""Hash-exchange encode — the encode job's one wide operation.
+"""Hash exchange — the one wide operation of every pkey write.
 
 The partitioner only needs EQUALITY co-location (all rows of a pkey in
 one task) — order inside the partition is re-established locally by
@@ -10,16 +10,25 @@ minimal exchange with raw Ray tasks (the documented last-resort case:
 the Dataset API cannot express a sort-free hash exchange in this
 version):
 
-    map task  (one per input file-chunk): stream record batches into a
-              bounded buffer (``SKAR_RAY_MAP_BUFFER_BYTES``, 128 MiB) →
+    map task  (one per group of sources): stream each source's rows
+              into a bounded buffer (``_MAP_BUFFER_BYTES``, 128 MiB) →
               assign pkeys → hash-split into per-pkey sub-tables →
               ``ray.put`` each → return {pkey: [refs]} — worker heap is
               bounded by the buffer, not the input file size
     reduce    (one per pkey): ray.get(refs) → concat →
               ``encode_partition``
 
-While the maps run, the driver trains the job's one ``content`` FSST
-table on a sample stratified by input file; every reduce embeds it.
+A source is a parquet file path, read batch by batch, or a container
+source (``container_sources``: store dir, data file, partition id,
+digest), decoded whole and digest-checked against its manifest.  The
+encode job passes its input files; append passes the delta's files
+plus the affected containers; compact passes every source container.
+
+When every source is a parquet file (the encode job), the driver trains
+the job's one ``content`` FSST table on a sample stratified by input
+file while the maps run, and every reduce embeds it.  A job with a
+container source trains per partition, as the sample would not cover
+the decoded rows.
 
 Plasma traffic is one write + one read of the data — the sort path
 pays that twice plus the sort compute.  Partitioning assumption: one
@@ -32,7 +41,9 @@ No global map→reduce barrier: a cheap metadata pre-pass records which
 FILES contain which REPOS, so each pkey's set of contributing map
 groups is known up front and its reduce launches the moment those
 groups finish (``ray.wait`` loop) — map stragglers only delay their
-own partitions, not the whole reduce phase.
+own partitions, not the whole reduce phase.  A container has no repo
+set, so a group holding one contributes to every pkey; pkeys that only
+containers emit launch once every map is done.
 """
 
 from __future__ import annotations
@@ -47,24 +58,51 @@ import ray
 from ..codecs import base
 from ..codecs.fsst import FsstCodec
 from ..stages import partitioner
+from ..stages.decoder import decode_manifest_batch
 from ..stages.encoder import encode_partition
-from .encode_job import _input_paths
+
+# heap bound for the map-side read buffer: rows accumulate to this many
+# bytes, then split+put — a giant input file streams through in bounded
+# memory instead of materializing with to_table()
+_MAP_BUFFER_BYTES = 128 << 20
 
 
-def _map_buffer_bytes() -> int:
-    """Heap bound for the map-side read buffer: batches accumulate to
-    this many bytes, then split+put — a single giant input file streams
-    through in bounded memory instead of materializing with to_table()."""
-    return int(os.environ.get("SKAR_RAY_MAP_BUFFER_BYTES", 128 << 20))
+def container_sources(store_dir: str, manifests) -> list[tuple[str, str, int, str]]:
+    """Exchange sources for the containers of ``manifests`` in ``store_dir``."""
+    return [(store_dir, m.data_file, m.partition_id, m.content_sha256) for m in manifests]
+
+
+def _source_tables(sources: list):
+    """Each source's rows: a parquet file batch by batch, a container
+    whole, decoded with its digest checked against the manifest (a torn
+    or corrupted container raises rather than being re-encoded)."""
+    import pyarrow.dataset as pads
+
+    for src in sources:
+        if isinstance(src, str):
+            for b in pads.dataset(src).to_batches():
+                if b.num_rows:
+                    yield pa.Table.from_batches([b])
+        else:
+            store, data_file, pid, digest = src
+            yield decode_manifest_batch(
+                pa.table({"partition_id": [pid], "data_file": [data_file], "content_sha256": [digest]}),
+                out_dir=store, verify=True,
+            )
+
+
+def _concat(tables: list[pa.Table]) -> pa.Table:
+    # a delta file may type a column differently from the containers it
+    # joins (string vs large_string): widen to the common type
+    return pa.concat_tables(tables, promote_options="permissive") if len(tables) > 1 else tables[0]
 
 
 @ray.remote
-def _map_split(paths: list[str], plan: "partitioner.PartitionPlan",
+def _map_split(sources: list, plan: "partitioner.PartitionPlan",
                skip_pkeys: frozenset[int],
                buffer_bytes: int) -> dict[int, list["ray.ObjectRef"]]:
     import numpy as np
     import pyarrow.compute as pc
-    import pyarrow.dataset as pads
 
     out: dict[int, list[ray.ObjectRef]] = {}
 
@@ -89,21 +127,18 @@ def _map_split(paths: list[str], plan: "partitioner.PartitionPlan",
             ref = ray.put(srt.slice(start, end - start).combine_chunks())
             out.setdefault(pkey, []).append(ref)
 
-    # stream record batches with a bounded accumulation buffer: peak
-    # worker heap is ~buffer + its sorted copy, independent of file size
+    # stream tables through a bounded accumulation buffer: peak worker
+    # heap is ~buffer + its sorted copy, independent of file size
     buf: list[pa.Table] = []
     buf_bytes = 0
-    for p in paths:
-        for b in pads.dataset(p).to_batches():
-            if b.num_rows == 0:
-                continue
-            buf.append(pa.Table.from_batches([b]))
-            buf_bytes += b.nbytes
-            if buf_bytes >= buffer_bytes:
-                _split_put(pa.concat_tables(buf) if len(buf) > 1 else buf[0])
-                buf, buf_bytes = [], 0
+    for t in _source_tables(sources):
+        buf.append(t)
+        buf_bytes += t.nbytes
+        if buf_bytes >= buffer_bytes:
+            _split_put(_concat(buf))
+            buf, buf_bytes = [], 0
     if buf:
-        _split_put(pa.concat_tables(buf) if len(buf) > 1 else buf[0])
+        _split_put(_concat(buf))
     return out
 
 
@@ -112,8 +147,7 @@ def _reduce_encode(pkey: int, refs: list["ray.ObjectRef"], out_dir: str,
                    chunk_target_bytes: int, input_fingerprint: str,
                    codec_overrides: dict | None, fsst_tables: dict | None,
                    validate: bool = True) -> dict:
-    tables = ray.get(list(refs))
-    t = pa.concat_tables(tables).combine_chunks() if len(tables) > 1 else tables[0]
+    t = _concat(ray.get(list(refs)))
     summary = encode_partition(t, out_dir, chunk_target_bytes, input_fingerprint,
                                codec_overrides, validate=validate, fsst_tables=fsst_tables)
     return {k: summary.column(k)[0].as_py() for k in summary.column_names}
@@ -186,7 +220,7 @@ def file_repo_sets(paths: list[str]) -> dict[str, list[str]]:
 
 
 def run_hashed_encode(
-    corpus_path: str,
+    sources: list,
     out_dir: str,
     plan: "partitioner.PartitionPlan",
     chunk_target_bytes: int,
@@ -195,33 +229,37 @@ def run_hashed_encode(
     codec_overrides: dict | None = None,
     validate: bool = True,
 ) -> pa.Table:
-    paths = _input_paths(corpus_path)
     ncpu = int(ray.cluster_resources().get("CPU", 8))
-    per_map = max(1, len(paths) // (2 * ncpu))  # files per map task
-    groups = [paths[i : i + per_map] for i in range(0, len(paths), per_map)]
+    per_map = max(1, len(sources) // (2 * ncpu))  # sources per map task
+    groups = [sources[i : i + per_map] for i in range(0, len(sources), per_map)]
 
     # launch the heavy maps FIRST; the metadata pre-pass overlaps them
-    buffer_bytes = _map_buffer_bytes()
-    map_futs = {(_map_split.remote(g, plan, skip_pkeys, buffer_bytes)): gi
+    map_futs = {(_map_split.remote(g, plan, skip_pkeys, _MAP_BUFFER_BYTES)): gi
                 for gi, g in enumerate(groups)}
     # metadata pre-pass: which repos live in which map group → pkey →
     # contributing groups.  Served from the per-file sidecar cache that
     # encode_job's fingerprint pass already populated — a warm run
-    # reads zero repo columns here
+    # reads zero repo columns here.  A group holding a container may
+    # feed any pkey, so it contributes to every one
+    paths = [p for p in sources if isinstance(p, str)]
     repo_sets = file_repo_sets(paths)
-    group_repos = [sorted(set().union(*(repo_sets[p] for p in g))) for g in groups]
+    group_repos = [sorted(set().union(*(repo_sets[p] for p in g if isinstance(p, str)))) for g in groups]
+    with_containers = {gi for gi, g in enumerate(groups) if not all(isinstance(p, str) for p in g)}
     contrib: dict[int, set[int]] = {}
     for gi, repos in enumerate(group_repos):
         for r in repos:
             s, nb = plan.repos.get(r, (0, 1))  # mirror assign_pkeys' default
             for pk in range(s, s + nb):
                 if pk not in skip_pkeys:
-                    contrib.setdefault(pk, set()).add(gi)
+                    contrib.setdefault(pk, set(with_containers)).add(gi)
 
-    # content's table for the whole job, if it can be FSST (_plan_column's rule);
-    # path and commit keep per-partition tables: a shared one measured worse
+    # content's table for the whole job, if it can be FSST (_plan_column's rule)
+    # and every source is a parquet file (the sample cannot cover rows
+    # decoded from containers); path and commit keep per-partition
+    # tables: a shared one measured worse
     can_fsst = (codec_overrides or {}).get("content") in (None, "fsst")
-    sample = content_sample(paths) if contrib and can_fsst else b""
+    all_parquet = len(paths) == len(sources)
+    sample = content_sample(paths) if contrib and can_fsst and all_parquet else b""
     fsst_tables = {"content": FsstCodec().make_table(sample)} if sample else None
 
     # ray.wait-driven: launch each pkey's reduce the moment every map
@@ -253,8 +291,8 @@ def run_hashed_encode(
         for fut in ready:
             done_maps[pending.pop(fut)] = ray.get(fut)
         _launch_ready()
-    # defensive: any pkey emitted by a map but missed by the metadata
-    # pre-pass (cannot happen when repo sets are exact) still encodes
+    # pkeys with unknown contributors — those only containers emit —
+    # launch once every map is done
     leftovers: dict[int, list] = {}
     for gi, d in done_maps.items():
         for pk, refs in d.items():

@@ -1,29 +1,17 @@
-"""Sources — Ray Dataset constructors for every format the engine speaks.
+"""Sources — the Arrow IPC reader; every other format reads directly.
 
 The reference's sources are JSON-RPC (network) and its own Parquet
 folders (/root/reference/skar/src/query/data_provider.rs:121-183).
-Ours: Parquet (primary), JSON/CSV (debug-scale), and `.skarc`
-container directories (the engine's own encoded format, read back as a
-first-class projected source by ``pipelines.query_encoded``).
+Ours: Parquet (read with ``ray.data.read_parquet`` or, by the hash
+exchange, file by file), `.skarc` container directories (the engine's
+own encoded format, read back as a first-class projected source by
+``pipelines.query_encoded``), and the Arrow IPC files written by
+``sinks.write_arrow_ipc`` (below).
 """
 
 from __future__ import annotations
 
 import ray.data
-
-
-def read_parquet(path: str, columns: list[str] | None = None, **kwargs) -> "ray.data.Dataset":
-    """Column-pruned parquet read (row-group predicate pushdown via
-    ``filter=`` pyarrow expression kwarg)."""
-    return ray.data.read_parquet(path, columns=columns, **kwargs)
-
-
-def read_json(path: str, **kwargs) -> "ray.data.Dataset":
-    return ray.data.read_json(path, **kwargs)
-
-
-def read_csv(path: str, **kwargs) -> "ray.data.Dataset":
-    return ray.data.read_csv(path, **kwargs)
 
 
 def read_arrow_ipc(path: str) -> "ray.data.Dataset":

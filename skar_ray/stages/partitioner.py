@@ -51,6 +51,14 @@ def content_sizes(batch: pa.Table, column: str = "content") -> np.ndarray:
     return np.asarray(pc.binary_length(batch.column(column))).astype(np.int64)
 
 
+def input_paths(corpus_path: str) -> list[str]:
+    """The parquet files of a corpus: the sorted ``*.parquet`` entries of
+    a directory, or the path itself."""
+    if not os.path.isdir(corpus_path):
+        return [corpus_path]
+    return [os.path.join(corpus_path, f) for f in sorted(os.listdir(corpus_path)) if f.endswith(".parquet")]
+
+
 def repo_size_prepass_fast(corpus_path: str) -> pa.Table:
     """Cheap size plan: per-repo ROW counts from a repo-column-only read
     (tiny, dictionary-encoded in Parquet) × the corpus-wide average
@@ -67,9 +75,7 @@ def repo_size_prepass_fast(corpus_path: str) -> pa.Table:
 
     total_rows = 0
     content_bytes = 0
-    for path in ([
-        os.path.join(corpus_path, f) for f in sorted(os.listdir(corpus_path)) if f.endswith(".parquet")
-    ] if os.path.isdir(corpus_path) else [corpus_path]):
+    for path in input_paths(corpus_path):
         md = pq.read_metadata(path)
         total_rows += md.num_rows
         for rg in range(md.num_row_groups):
@@ -96,7 +102,7 @@ def repo_size_prepass_fast(corpus_path: str) -> pa.Table:
     return tbl.append_column("bytes", est)
 
 
-def repo_size_prepass(ds: "ray.data.Dataset", target_bytes: int = 0) -> pa.Table:
+def repo_size_prepass(ds: "ray.data.Dataset") -> pa.Table:
     """Per-repo total content bytes via partial-aggregate → small groupby."""
 
     def partials(batch: pa.Table) -> pa.Table:

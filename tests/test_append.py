@@ -115,3 +115,78 @@ def test_append_retry_is_idempotent(ray_session, tmp_path):
     pq.write_table(delta3, os.path.join(SRC, "delta3.parquet"))
     v = run_verify_job(SRC, OUT)
     assert v["rows_match"] and v["digests_verified"], v
+
+
+_TUPLE = ("partition_id", "n_rows", "raw_bytes", "enc_bytes", "content_sha256")
+
+
+def test_append_matches_inprocess_reference(ray_session, tmp_path):
+    """Every re-encoded partition equals an in-process reference, bit
+    for bit: the affected containers' decoded rows ∪ the delta →
+    ``assign_pkeys`` → one ``encode_partition`` per pkey.  One pkey is
+    fed by both a container and the delta."""
+    import pyarrow.compute as pc
+
+    from skar_ray.stages.encoder import encode_partition
+    from skar_ray.stages.partitioner import assign_pkeys
+    from skar_ray.state import container
+
+    base = os.path.join(ensure_corpus(2000), "corpus.parquet")
+    store = str(tmp_path / "store")
+    run_encode_job(base, store, target_partition_bytes=2 << 20, chunk_target_bytes=1 << 20)
+    before = {pid: container.read_container(os.path.join(store, m.data_file))
+              for pid, m in manifest_mod.scan_manifests(store).items()}
+
+    schema = read_corpus_table(base).schema
+    some_repo = next(iter(before.values())).column("repo")[0].as_py()
+    delta = pa.table({
+        "repo": [some_repo] * 3 + ["zz-ref/repo"],
+        "path": ["ref/a.py", "ref/b.py", "ref/c.py", "ref/d.go"],
+        "commit": ["r1", "r2", "r3", "r4"],
+        "lang": ["python", "python", "python", "go"],
+        "content": ["import os\n" * 30, "x = 1\n" * 40, "y = 2\n" * 50, "package ref\n" * 20],
+    }).cast(schema)
+    delta_dir = str(tmp_path / "delta")
+    os.makedirs(delta_dir)
+    pq.write_table(delta, os.path.join(delta_dir, "delta.parquet"))
+
+    r = run_append_job(delta_dir, store, base_corpus_path=base,
+                       target_partition_bytes=2 << 20, chunk_target_bytes=1 << 20)
+    affected = set(r["affected_partitions"])
+    plan, _ = load_dir_plan(store)
+    fed_by_delta = set(assign_pkeys(delta, plan).column("pkey").to_pylist())
+    assert fed_by_delta & set(before), "no pkey is fed by both a container and the delta"
+
+    rows = pa.concat_tables([before[pid] for pid in sorted(affected & set(before))] + [delta])
+    keyed = assign_pkeys(rows, plan)
+    want = []
+    for pk in sorted(set(keyed.column("pkey").to_pylist())):
+        s = encode_partition(keyed.filter(pc.equal(keyed.column("pkey"), pk)),
+                             str(tmp_path / "reference"), 1 << 20)
+        want.append(tuple(s.column(c)[0].as_py() for c in _TUPLE))
+    after = manifest_mod.scan_manifests(store)
+    got = [tuple(getattr(after[pid], c) for c in _TUPLE) for pid in sorted(affected)]
+    assert got == want
+
+
+def test_append_widens_a_differently_typed_delta(ray_session, tmp_path):
+    """A delta file whose ``content`` is ``string`` joins containers
+    holding ``large_string``: the exchange widens it to the common type
+    instead of failing to concatenate."""
+    from skar_ray.pipelines.decode_job import decoded_dataset
+
+    base = os.path.join(ensure_corpus(500), "corpus.parquet")
+    store = str(tmp_path / "store")
+    run_encode_job(base, store, target_partition_bytes=1 << 20, chunk_target_bytes=1 << 20)
+    repo = read_corpus_table(base).column("repo")[0].as_py()
+    delta = pa.table({"repo": [repo], "path": ["w/a.py"], "commit": ["w1"], "lang": ["python"],
+                      "content": pa.array(["z = 0\n" * 10], pa.string())})
+    delta_dir = str(tmp_path / "delta")
+    os.makedirs(delta_dir)
+    pq.write_table(delta, os.path.join(delta_dir, "delta.parquet"))
+    r = run_append_job(delta_dir, store, base_corpus_path=base,
+                       target_partition_bytes=1 << 20, chunk_target_bytes=1 << 20)
+    assert r["appended_rows"] == 1 and r["reencoded"] >= 1
+    got = decoded_dataset(store, verify=True).to_pandas()
+    assert len(got) == read_corpus_table(base).num_rows + 1
+    assert ("z = 0\n" * 10) in set(got["content"])

@@ -96,3 +96,69 @@ def test_recompact_sweeps_stale_dest_partitions(ray_session):
     assert v["rows_match"] and v["digests_verified"]
     for p in (src_big, src_small, dst):
         shutil.rmtree(p, ignore_errors=True)
+
+
+def test_compact_matches_inprocess_reference(ray_session, tmp_path):
+    """Every compacted partition equals an in-process reference, bit for
+    bit: the decoded source rows → the exact per-repo size plan →
+    ``assign_pkeys`` → one ``encode_partition`` per pkey."""
+    import pyarrow as pa
+    import ray.data
+
+    from skar_ray.stages.encoder import encode_partition
+    from skar_ray.stages.partitioner import assign_pkeys, make_plan, repo_size_prepass
+    from skar_ray.state import container
+
+    corpus = os.path.join(ensure_corpus(2000), "corpus.parquet")
+    src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
+    run_encode_job(corpus, src, target_partition_bytes=1 << 20, chunk_target_bytes=1 << 20)
+    r = run_compact_job(src, dst, target_partition_bytes=8 << 20, chunk_target_bytes=4 << 20)
+    assert r["rows_match"] and r["digests_match"] is True, r
+
+    rows = pa.concat_tables([container.read_container(os.path.join(src, m.data_file))
+                             for m in manifest_mod.scan_manifests(src).values()])
+    plan = make_plan(repo_size_prepass(ray.data.from_arrow(rows)), 8 << 20)
+    keyed = assign_pkeys(rows, plan)
+    cols = ("partition_id", "n_rows", "raw_bytes", "enc_bytes", "content_sha256")
+    want = []
+    for pk in sorted(set(keyed.column("pkey").to_pylist())):
+        s = encode_partition(keyed.filter(pc.equal(keyed.column("pkey"), pk)),
+                             str(tmp_path / "reference"), 4 << 20)
+        want.append(tuple(s.column(c)[0].as_py() for c in cols))
+    got = [tuple(getattr(m, c) for c in cols) for _, m in sorted(manifest_mod.scan_manifests(dst).items())]
+    assert got == want
+
+
+def test_compact_of_corrupted_source_raises_and_publishes_nothing(ray_session, tmp_path):
+    """A payload bit flip that every codec decodes without complaint
+    (only the row digest can tell) must stop the compaction at the
+    source decode: the digest ValueError, and no destination manifest."""
+    from skar_ray.stages.encoder import partition_digest, row_sha256
+    from skar_ray.state import container
+
+    corpus = os.path.join(ensure_corpus(500), "corpus.parquet")
+    src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
+    run_encode_job(corpus, src, target_partition_bytes=1 << 20, chunk_target_bytes=1 << 20)
+    m = max(manifest_mod.scan_manifests(src).values(), key=lambda m: m.enc_bytes)
+    path = os.path.join(src, m.data_file)
+    header, blob_start = container.read_header(path)
+    (cm,) = [c for c in header["chunks"][-1]["columns"] if c["name"] == "content"]
+    with open(path, "rb") as f:
+        good = f.read()
+    for off in range(cm["offset"] + cm["length"] - 1, cm["offset"], -1):
+        bad = bytearray(good)
+        bad[blob_start + off] ^= 0x01
+        with open(path, "wb") as f:
+            f.write(bad)
+        try:
+            t = container.read_container(path)
+        except Exception:
+            continue
+        if partition_digest(row_sha256(t)) != m.content_sha256:
+            break
+    else:
+        pytest.fail("no silently-decoding bit flip found")
+
+    with pytest.raises(ValueError, match="digest"):
+        run_compact_job(src, dst, target_partition_bytes=8 << 20, chunk_target_bytes=4 << 20)
+    assert manifest_mod.scan_manifests(dst) == {}

@@ -22,10 +22,10 @@ from skar_ray.codecs import auto, base
 from skar_ray.codecs.fsst import FsstCodec, SymbolTable
 from skar_ray.corpus import ensure_corpus
 from skar_ray.pipelines.decode_job import decoded_dataset, run_verify_job
-from skar_ray.pipelines.encode_job import _cached_plan, _input_paths, run_encode_job
+from skar_ray.pipelines.encode_job import _cached_plan, run_encode_job
 from skar_ray.pipelines.hash_exchange import content_sample
 from skar_ray.stages.encoder import encode_partition
-from skar_ray.stages.partitioner import assign_pkeys, make_plan, repo_size_prepass
+from skar_ray.stages.partitioner import assign_pkeys, input_paths, make_plan, repo_size_prepass
 from skar_ray.state import container, manifest
 
 N_ROWS = 2000
@@ -102,7 +102,7 @@ def test_skew_giant_repo_is_split(ray_session, corpus_dir):
     corpus = os.path.join(corpus_dir, "corpus.parquet")
     ds = ray.data.read_parquet(corpus)
     target = 1 << 20
-    plan = make_plan(repo_size_prepass(ds, target), target)
+    plan = make_plan(repo_size_prepass(ds), target)
     giant = max(plan.repos.items(), key=lambda kv: kv[1][1])
     assert giant[1][1] > 1, f"giant repo not split: {plan.repos}"
     # and no partition id collides across split buckets
@@ -166,7 +166,7 @@ def test_hashed_encode_shares_one_content_table(encoded):
     corpus, summary = encoded
     files = sorted(os.path.join(OUT, f) for f in os.listdir(OUT) if f.endswith(".skarc"))
     assert len(files) > 1
-    want = FsstCodec().make_table(content_sample(_input_paths(corpus))).symbols
+    want = FsstCodec().make_table(content_sample(input_paths(corpus))).symbols
     assert all(_fsst_symbols(f, "content") == want for f in files)
     fsst_paths = 0
     for f in files:
@@ -246,7 +246,7 @@ def test_hashed_encode_of_sparse_content_verifies(ray_session, tmp_path, content
     os.makedirs(corpus)
     for k in range(3):
         pq.write_table(t.slice(20 * k, 20), os.path.join(corpus, f"part-{k:04d}.parquet"))
-    assert len(content_sample(_input_paths(corpus))) < 4 << 10
+    assert len(content_sample(input_paths(corpus))) < 4 << 10
     out = str(tmp_path / "store")
     s = run_encode_job(corpus, out, target_partition_bytes=1 << 10, chunk_target_bytes=1 << 20)
     assert s.num_rows >= 1
@@ -294,7 +294,7 @@ def test_hashed_mode_matches_inprocess_reference_and_resumes(ray_session, corpus
     # (with the job's one content table, trained on the same sample)
     plan, _ = _cached_plan(corpus, 2 << 20)
     keyed = assign_pkeys(read_corpus_table(corpus), plan)
-    shared = {"content": FsstCodec().make_table(content_sample(_input_paths(corpus)))}
+    shared = {"content": FsstCodec().make_table(content_sample(input_paths(corpus)))}
     ref_dir = str(tmp_path / "reference")
     cols = ["partition_id", "n_rows", "raw_bytes", "enc_bytes", "content_sha256"]
     want = []
@@ -319,14 +319,16 @@ def test_map_side_streaming_buffer_is_transparent(ray_session, corpus_dir, tmp_p
     Shrinking the buffer to 64 KiB forces many flushes per map task —
     the store must come out identical to the default single-flush run
     (content-derived salting + reducer lexsort make chunking invisible)."""
+    from skar_ray.pipelines import hash_exchange
+
     corpus = os.path.join(corpus_dir, "corpus.parquet")
-    monkeypatch.setenv("SKAR_RAY_MAP_BUFFER_BYTES", str(64 << 10))
+    monkeypatch.setattr(hash_exchange, "_MAP_BUFFER_BYTES", 64 << 10)
     out = str(tmp_path / "tiny_buf")
     s_tiny = run_encode_job(corpus, out, target_partition_bytes=2 << 20,
                             chunk_target_bytes=1 << 20, mode="hashed")
     v = run_verify_job(corpus, out)
     assert v["rows_match"] and v["digests_verified"]
-    monkeypatch.delenv("SKAR_RAY_MAP_BUFFER_BYTES")
+    monkeypatch.undo()
     out2 = str(tmp_path / "default_buf")
     s_def = run_encode_job(corpus, out2, target_partition_bytes=2 << 20,
                            chunk_target_bytes=1 << 20, mode="hashed")
