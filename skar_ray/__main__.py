@@ -152,12 +152,11 @@ def cmd_distinct(a) -> dict:
     from .pipelines.stats import store_distinct
 
     res, info = store_distinct(a.store, a.column, with_info=True)
-    # a float NaN distinct value would serialize as the bare token NaN,
-    # which RFC 8259 parsers reject — emit the string "NaN" instead
-    vals = [
-        "NaN" if isinstance(v, float) and v != v else v for v in res["value"]
-    ]
-    return {"values": vals, **info}
+    # a float NaN would serialize as the bare token NaN, which RFC 8259
+    # parsers reject, and as a string it would read like a real 'NaN'
+    # value — report it as a flag instead
+    vals = [v for v in res["value"] if not (isinstance(v, float) and v != v)]
+    return {"values": vals, "has_nan": len(vals) < len(res), **info}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,20 +2,25 @@
 
 Mirrors the reference's validate-after-write step
 (/root/reference/skar/src/skar_runner.rs:309-312, validate_parquet.rs:17-66):
-manifest rows fan out to a ``DecoderActor`` pool; each partition is
-decoded and its per-row sha256 digest recomputed and compared with the
-digest the encoder stored (which was derived from the ORIGINAL data).
-Every partition passing ⇒ decoded bytes are bit-identical to the
-pre-encode bytes, partition-complete by construction.
+manifest rows fan out to one task-pool decode stage (``decode_stage``);
+each partition is decoded and its per-row sha256 digest recomputed and
+compared with the digest the encoder stored (which was derived from the
+ORIGINAL data).  Every partition passing ⇒ decoded bytes are
+bit-identical to the pre-encode bytes, partition-complete by
+construction.
 """
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray.data
 
 from ..stages.decoder import decode_stage
+from ..state import container
 from ..state import manifest as manifest_mod
 
 
@@ -32,35 +37,38 @@ def manifests_dataset(out_dir: str) -> "ray.data.Dataset":
     return ray.data.from_items(rows)
 
 
-def _pool_size() -> tuple[int, int]:
-    from ..runtime import pool_size
-
-    return pool_size()
-
-
 def decoded_dataset(
     out_dir: str,
     columns: list[str] | None = None,
     verify: bool = False,
-    concurrency=None,
 ) -> "ray.data.Dataset":
-    n_parts = len(manifest_mod.scan_manifests(out_dir))
-    mds = manifests_dataset(out_dir)
-    if concurrency is None:
-        # pool FLOOR from the known work set: autoscaling from min=1
-        # ramps far too slowly for a ~10s batch decode (half the wall
-        # time went to actor spin-up at 32 CPUs); idle actors beyond
-        # the partition count are never spawned
-        from ..runtime import pool_size
-
-        concurrency = (1, pool_size()[1])
-    # one partition per call (batch_size=1); partitions are size-capped.
-    # Small stores decode as a task pool, large ones as the actor pool
-    # (see stages.decoder.decode_stage).
     return decode_stage(
-        mds, n_parts, concurrency,
-        out_dir=out_dir, columns=columns, verify=verify,
+        manifests_dataset(out_dir), out_dir=out_dir, columns=columns, verify=verify,
     )
+
+
+def _export_batch(batch: pa.Table, *, out_dir: str, dest_dir: str, columns) -> pa.Table:
+    """Write each manifest row's partition to ``part-<pid>.parquet`` under
+    ``dest_dir`` (temp+rename); a file already present is skipped."""
+    pids, skipped = [], []
+    for i in range(batch.num_rows):
+        pid = batch.column("partition_id")[i].as_py()
+        dest = os.path.join(dest_dir, f"part-{pid:06d}.parquet")
+        if os.path.exists(dest):
+            pids.append(pid)
+            skipped.append(True)
+            continue
+        t = container.read_container(
+            os.path.join(out_dir, batch.column("data_file")[i].as_py()),
+            columns=columns,
+        )
+        tmp = f"{dest}.tmp-{os.getpid()}"
+        pq.write_table(t, tmp, compression="zstd")
+        os.replace(tmp, dest)
+        pids.append(pid)
+        skipped.append(False)
+    return pa.table({"partition_id": pa.array(pids, type=pa.int64()),
+                     "skipped": pa.array(skipped)})
 
 
 def run_export_job(out_dir: str, dest_dir: str, columns: list[str] | None = None) -> dict:
@@ -68,47 +76,13 @@ def run_export_job(out_dir: str, dest_dir: str, columns: list[str] | None = None
     one file per partition, written atomically (temp+rename) and skipped
     if already present, so a failed export resumes where it stopped
     (the resumable-output layout: never one giant file)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..state import container
-
     os.makedirs(dest_dir, exist_ok=True)
     manifests = manifest_mod.scan_manifests(out_dir)
-
-    class Exporter:
-        def __init__(self, out_dir: str, dest_dir: str, columns):
-            self.out_dir = out_dir
-            self.dest_dir = dest_dir
-            self.columns = columns
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            pids, skipped = [], []
-            for i in range(batch.num_rows):
-                pid = batch.column("partition_id")[i].as_py()
-                dest = os.path.join(self.dest_dir, f"part-{pid:06d}.parquet")
-                if os.path.exists(dest):
-                    pids.append(pid)
-                    skipped.append(True)
-                    continue
-                t = container.read_container(
-                    os.path.join(self.out_dir, batch.column("data_file")[i].as_py()),
-                    columns=self.columns,
-                )
-                tmp = f"{dest}.tmp-{os.getpid()}"
-                pq.write_table(t, tmp, compression="zstd")
-                os.replace(tmp, dest)
-                pids.append(pid)
-                skipped.append(False)
-            return pa.table({"partition_id": pa.array(pids, type=pa.int64()),
-                             "skipped": pa.array(skipped)})
-
     res = (
         manifests_dataset(out_dir)
         .map_batches(
-            Exporter, fn_constructor_args=(out_dir, dest_dir, columns),
-            batch_format="pyarrow", batch_size=1, concurrency=(1, 8),
+            _export_batch, fn_kwargs=dict(out_dir=out_dir, dest_dir=dest_dir, columns=columns),
+            batch_format="pyarrow", batch_size=1,
         )
         .to_pandas()
     )
@@ -132,5 +106,5 @@ def run_verify_job(corpus_path: str, out_dir: str) -> dict:
         "decoded_rows": decoded_rows,
         "source_rows": src_rows,
         "rows_match": decoded_rows == src_rows,
-        "digests_verified": True,  # DecoderActor raises on any mismatch
+        "digests_verified": True,  # decode_manifest_batch raises on any mismatch
     }

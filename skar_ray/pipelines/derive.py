@@ -70,7 +70,6 @@ def run_derive_column_job(
     input_columns: list[str],
     *,
     codec: str | None = None,
-    concurrency: int | None = None,
     validate: bool = True,
 ) -> dict:
     """Add column ``name`` = ``fn(projected_table)`` to every partition
@@ -137,10 +136,9 @@ def run_derive_column_job(
             }
         )
 
-    kw = {"concurrency": concurrency} if concurrency else {}
     res = (
         ray.data.from_items(work, override_num_blocks=len(work))
-        .map_batches(derive_batch, batch_format="pyarrow", num_cpus=1, **kw)
+        .map_batches(derive_batch, batch_format="pyarrow", num_cpus=1)
         .to_pandas()
     )
     return {
@@ -156,7 +154,7 @@ def run_derive_column_job(
 _PROTECTED = frozenset(["content", "repo", "path", "commit"])
 
 
-def run_drop_column_job(out_dir: str, name: str, concurrency: int | None = None) -> dict:
+def run_drop_column_job(out_dir: str, name: str) -> dict:
     """Drop column ``name`` from every partition, reclaiming its bytes
     (container.drop_column copies surviving blobs verbatim).  Refuses
     lineage columns (content / sort keys).  Idempotent: partitions
@@ -197,10 +195,9 @@ def run_drop_column_job(out_dir: str, name: str, concurrency: int | None = None)
             }
         )
 
-    kw = {"concurrency": concurrency} if concurrency else {}
     res = (
         ray.data.from_items(work, override_num_blocks=len(work))
-        .map_batches(drop_batch, batch_format="pyarrow", num_cpus=1, **kw)
+        .map_batches(drop_batch, batch_format="pyarrow", num_cpus=1)
         .to_pandas()
     )
     return {

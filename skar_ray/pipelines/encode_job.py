@@ -15,7 +15,7 @@ Two modes:
   each salted repo bucket in one reduce task, maximising dict/RLE
   locality — skar's sort-before-write.
 - ``mode="sharded"``: no exchange; each input block encodes
-  independently via the ``ShardEncoder`` actor pool (faster, slightly
+  independently as one ``shard_encode_batch`` task (faster, slightly
   worse ratio).  The registry's non-corpus tables use it.
 
 Returns a summary pyarrow Table (one row per partition) and writes the
@@ -33,7 +33,7 @@ import pyarrow as pa
 import ray.data
 
 from ..stages import partitioner
-from ..stages.encoder import ShardEncoder, shard_encode_batch
+from ..stages.encoder import shard_encode_batch
 from ..state import manifest as manifest_mod
 
 
@@ -52,7 +52,7 @@ def corpus_dataset(corpus_path: str, columns: list[str] | None = None) -> "ray.d
 
 def _auto_partition_bytes(total_bytes: int) -> int:
     """Size partitions so every core has ≥2 partitions of work (ideal
-    load-balance for the actor/task pool) within [4 MiB, 128 MiB]."""
+    load-balance for the encode tasks) within [4 MiB, 128 MiB]."""
     import ray
 
     ncpu = int(ray.cluster_resources().get("CPU", 8))
@@ -174,7 +174,6 @@ def run_encode_job(
     chunk_target_bytes: int = 16 << 20,
     mode: str = "hashed",
     resume: bool = True,
-    concurrency: int | None = None,
     codec_overrides: dict[str, str] | None = None,
     profile: str = "max",
     validate: bool = True,
@@ -212,28 +211,12 @@ def run_encode_job(
             codec_overrides=codec_overrides,
             validate=validate,
         )
-        input_bytes = sum(
-            os.path.getsize(f) for f in pads.dataset(corpus_path).files
+        enc = corpus_dataset(corpus_path).map_batches(
+            shard_encode_batch, fn_kwargs=enc_kwargs,
+            batch_format="pyarrow",
+            batch_size=None,  # one call per input block
+            zero_copy_batch=True,
         )
-        ds = corpus_dataset(corpus_path)
-        if concurrency is None and input_bytes < (256 << 20):
-            # small job (registry queries, tests): a TASK pool encodes
-            # the handful of blocks without the ~1 s/stage actor-pool
-            # spin-up; ShardEncoder's per-actor setup only pays off when
-            # many blocks amortize it
-            enc = ds.map_batches(
-                shard_encode_batch, fn_kwargs=enc_kwargs,
-                batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-            )
-        else:
-            enc = ds.map_batches(
-                ShardEncoder,
-                fn_constructor_kwargs=enc_kwargs,
-                batch_format="pyarrow",
-                batch_size=None,  # one call per input block
-                concurrency=concurrency or (2, max(8, _ncpu)),
-                zero_copy_batch=True,
-            )
         summary = pa.Table.from_pandas(enc.to_pandas())
     else:
         plan, target_partition_bytes = _cached_plan(corpus_path, target_partition_bytes)

@@ -7,9 +7,10 @@ DNF selections → project (/root/reference/skar/src/query/handler.rs:
 96-185, execution/mod.rs:21-65).  Ours:
 
     manifests → partition pruning (min/max + distinct sets from the
-    manifest, §2.4 bloom-prelookup analog) → DecoderActor pool reading
-    ONLY the needed columns from each .skarc → vectorised DNF filter
-    (`pyarrow.compute`) → projection → optional limit.
+    manifest, §2.4 bloom-prelookup analog) → one task-pool decode stage
+    (``decode_stage``) reading ONLY the needed columns from each .skarc,
+    with the DNF evaluated on the encoded form → projection → optional
+    limit.
 
 Filter language (DNF, mirroring skar's OR-of-selections / AND-within,
 net-types/src/lib.rs:13-54): ``[[(col, op, value), ...], ...]`` —
@@ -35,10 +36,6 @@ from ..state import manifest as manifest_mod
 
 Clause = tuple[str, str, Any]
 DNF = list[list[Clause]]
-
-
-def _decode_stage(mds, rows, concurrency, **decode_kwargs):
-    return decode_stage(mds, len(rows), concurrency, **decode_kwargs)
 
 
 def prune_partitions(manifests: dict[int, manifest_mod.PartitionManifest], dnf: DNF | None) -> list[int]:
@@ -99,7 +96,6 @@ def query_encoded_budgeted(
     time_budget_s: float | None = None,
     row_budget: int | None = None,
     cursor: int | None = None,
-    concurrency=None,
 ) -> tuple[pa.Table, int | None]:
     """Budgeted scan with cursor resume — the reference's query time
     limit + row limits + cursor paging (handler.rs:104-107,
@@ -112,10 +108,6 @@ def query_encoded_budgeted(
     import time as _time
 
     t0 = _time.monotonic()
-    if concurrency is None:
-        from .decode_job import _pool_size
-
-        concurrency = _pool_size()
     manifests = manifest_mod.scan_manifests(out_dir)
     pids = [p for p in prune_partitions(manifests, filters) if cursor is None or p >= cursor]
     want_cols = columns
@@ -133,8 +125,8 @@ def query_encoded_budgeted(
         }
         for pid in pids
     ]
-    ds = _decode_stage(
-        ray.data.from_items(rows), rows, concurrency,
+    ds = decode_stage(
+        ray.data.from_items(rows),
         out_dir=out_dir, columns=want_cols, verify=False, dnf=filters,
         apply_dnf=bool(filters), tag_partition=True,
     )
@@ -199,13 +191,8 @@ def query_encoded(
     columns: list[str] | None = None,
     filters: DNF | None = None,
     limit: int | None = None,
-    concurrency=None,
 ) -> "ray.data.Dataset":
     """Projected, filtered, pruned read over encoded partitions."""
-    if concurrency is None:
-        from .decode_job import _pool_size
-
-        concurrency = _pool_size()
     manifests = manifest_mod.scan_manifests(out_dir)
     pids = prune_partitions(manifests, filters)
     if not pids and manifests:
@@ -227,8 +214,8 @@ def query_encoded(
     # FoR int stream where the codec supports it (decode+compare
     # otherwise), so filter columns are materialized only as needed and
     # all-false chunks never decode the projection
-    ds = _decode_stage(
-        ray.data.from_items(rows), rows, concurrency,
+    ds = decode_stage(
+        ray.data.from_items(rows),
         out_dir=out_dir, columns=columns, verify=False, dnf=filters,
         apply_dnf=bool(filters),
     )
@@ -258,7 +245,6 @@ def query_encoded_semi_join(
     dnf_b: DNF | None = None,
     columns_b: list[str] | None = None,
     max_keys: int = MAX_SEMI_JOIN_KEYS,
-    concurrency=None,
 ) -> "ray.data.Dataset":
     """Cross-table semi-join over two ENCODED stores — the reference's
     whole query engine is exactly this set propagation over compressed
@@ -289,7 +275,7 @@ def query_encoded_semi_join(
         return pa.table({key_a: pc.unique(col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)})
 
     parts = (
-        query_encoded(store_a, columns=[key_a], filters=dnf_a, concurrency=concurrency)
+        query_encoded(store_a, columns=[key_a], filters=dnf_a)
         .map_batches(_uniq, batch_format="pyarrow")
         .to_pandas()
     )
@@ -299,10 +285,10 @@ def query_encoded_semi_join(
         # empty key set: nothing in B can match — reuse the typed-empty
         # path by pruning every partition with an impossible filter
         return query_encoded(store_b, columns=columns_b,
-                             filters=[[(key_b, "in", [])]], concurrency=concurrency)
+                             filters=[[(key_b, "in", [])]])
     in_clause = (key_b, "in", keys)
     new_dnf: DNF = [conj + [in_clause] for conj in dnf_b] if dnf_b else [[in_clause]]
-    return query_encoded(store_b, columns=columns_b, filters=new_dnf, concurrency=concurrency)
+    return query_encoded(store_b, columns=columns_b, filters=new_dnf)
 
 
 def query_encoded_with_tail(
@@ -310,7 +296,6 @@ def query_encoded_with_tail(
     tail_path: str,
     columns: list[str] | None = None,
     filters: DNF | None = None,
-    concurrency=None,
 ) -> "ray.data.Dataset":
     """Query the encoded store PLUS a raw, not-yet-encoded tail — the
     reference runs every query over its compressed folders and then the
@@ -320,7 +305,7 @@ def query_encoded_with_tail(
     path/directory (our append delta format); it gets the same DNF +
     projection, column-pruned at the read, and unions with the decoded
     results."""
-    enc = query_encoded(out_dir, columns=columns, filters=filters, concurrency=concurrency)
+    enc = query_encoded(out_dir, columns=columns, filters=filters)
     # read the tail with projection ∪ filter columns: the encoded side
     # evaluates the DNF on the encoded form BEFORE projection, so a
     # filter column outside `columns` must stay readable on the raw side

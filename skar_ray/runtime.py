@@ -10,18 +10,15 @@ locally and on a multi-node cluster where resources sum over nodes).
 from __future__ import annotations
 
 
-def pool_size(min_actors: int | None = None, cpus_per_actor: float = 1.0) -> tuple[int, int]:
-    """(min, max) autoscaling bounds for ``map_batches(Cls, concurrency=...)``.
+def pool_size() -> tuple[int, int]:
+    """(min, max) autoscaling bounds for ``map_batches(Cls, concurrency=...)``:
+    a floor of cpus/8 (≥2) and a ceiling of the CPU count (≥8).
 
-    The default FLOOR is cpus/8 (≥2): Ray's autoscaler ramps from the
+    The floor is above one because Ray's autoscaler ramps from the
     minimum one actor at a time, which dominates the wall time of
-    second-scale stages (measured ~2× on a 10 s decode).  Stages that
-    know their work-set size up front should pass an explicit floor of
-    ``min(n_items, cpus)`` instead.
+    second-scale stages (measured ~2× on a 10 s decode).
     """
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    if min_actors is None:
-        min_actors = max(2, cpus // 8)
-    return (min_actors, max(8, int(cpus / max(cpus_per_actor, 0.0625))))
+    return (max(2, cpus // 8), max(8, cpus))

@@ -1,16 +1,17 @@
-"""Decode stage — actor pool turning containers back into Arrow tables.
+"""Decode stage — a task pool turning containers back into Arrow tables.
 
 Mirror of the reference's projected Parquet reader + validator
 (/root/reference/skar/src/query/data_provider.rs:121-183,
-validate_parquet.rs:17-66).  A ``DecoderActor`` pool is fed manifest
-rows (tiny control records); each actor opens the container, decodes
-the requested columns chunk-by-chunk, optionally re-derives the per-row
+validate_parquet.rs:17-66).  ``decode_stage`` maps
+``decode_manifest_batch`` over manifest rows (tiny control records),
+one partition per task call: it opens the container, decodes the
+requested columns chunk-by-chunk, optionally re-derives the per-row
 sha256 digest and compares it against the manifest — the decode-side
 half of the round-trip proof.
 
-Stateful per-actor cache: container headers keyed by path (FSST symbol
-tables live inside chunk payloads; header parse + file handle reuse is
-what repeats across calls).
+Per-worker-process cache: container headers keyed by path (FSST symbol
+tables live inside chunk payloads; header parse is what repeats across
+calls on one worker).
 """
 
 from __future__ import annotations
@@ -75,32 +76,9 @@ def _decode_manifest_rows(
     return pa.concat_tables(tables) if tables else pa.table({})
 
 
-class DecoderActor:
-    def __init__(self, out_dir: str, columns: list[str] | None = None, verify: bool = False,
-                 dnf=None, encoded_filter=None, apply_dnf: bool = False,
-                 tag_partition: bool = False):
-        self.out_dir = out_dir
-        self.columns = columns
-        self.verify = verify
-        self.dnf = dnf  # chunk-level (row-group analog) pruning predicate
-        self.encoded_filter = encoded_filter  # (col, values) evaluated on codes
-        self.apply_dnf = apply_dnf  # exact full-DNF row mask on the encoded form
-        self.tag_partition = tag_partition  # append __pid (budgeted-scan cursor)
-        assert not (verify and (encoded_filter or apply_dnf)), "digest verify needs full partitions"
-        self._header_cache: dict[str, tuple[int, int, dict, int]] = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _decode_manifest_rows(
-            batch, self._header_cache, self.out_dir, self.columns, self.verify,
-            self.dnf, self.encoded_filter, self.apply_dnf, self.tag_partition,
-        )
-
-
-# Per-worker-PROCESS header cache for the task-pool decode path: Ray
-# reuses worker processes across tasks, so a module-level cache gives
-# the same header/handle reuse as an actor's instance cache without the
-# per-execution actor-pool spinup (~1 s per map_batches(Class) stage,
-# paid even warm — dominant on small latency-sensitive scans).
+# Per-worker-PROCESS header cache: Ray reuses worker processes across
+# tasks, so a header parsed for one call serves every later call on the
+# same worker.
 _TASK_HEADER_CACHE: dict[str, tuple[int, int, dict, int]] = {}
 
 
@@ -109,44 +87,22 @@ def decode_manifest_batch(
     dnf=None, encoded_filter=None, apply_dnf: bool = False,
     tag_partition: bool = False,
 ) -> pa.Table:
-    """Task-pool twin of ``DecoderActor`` — same decode, state in a
-    per-process cache.  Used for small scans where actor spinup would
-    dominate; the actor pool remains the bulk path (large partition
-    counts)."""
+    """Decode the partitions named by ``batch``'s manifest rows (header
+    state in the per-process cache).  ``dnf`` prunes chunks,
+    ``encoded_filter`` / ``apply_dnf`` filter rows on the encoded form,
+    ``tag_partition`` appends the budgeted-scan cursor columns."""
+    if verify and (encoded_filter or apply_dnf):
+        raise ValueError("digest verify needs full partitions: no encoded_filter/apply_dnf")
     return _decode_manifest_rows(
         batch, _TASK_HEADER_CACHE, out_dir, columns, verify,
         dnf, encoded_filter, apply_dnf, tag_partition,
     )
 
 
-# Force one path in tests: "task" | "actor" | "" (adaptive)
-_DECODE_POOL_OVERRIDE = ""
-
-
-def decode_stage(mds, n_parts: int, concurrency, **decode_kwargs):
-    """Decode manifest rows → Arrow, adaptively: small scans run as a
-    TASK pool (per-worker-process header cache, no actor spinup — the
-    ~1 s/stage actor startup dominates second-scale queries), large
-    partition counts as the ``DecoderActor`` pool (amortized per-actor
-    state, bounded pool for the 100 TB path)."""
-    import ray as _ray
-
-    ncpu = int(_ray.cluster_resources().get("CPU", 8))
-    small = n_parts <= 4 * ncpu
-    if _DECODE_POOL_OVERRIDE == "task" or (small and _DECODE_POOL_OVERRIDE != "actor"):
-        return mds.map_batches(
-            decode_manifest_batch, fn_kwargs=decode_kwargs,
-            batch_format="pyarrow", batch_size=1,
-        )
-    if isinstance(concurrency, tuple):
-        # floor the pool at the known work set, capped at the CPU count
-        # (autoscaling from 1 actor dominates second-scale scans; floors
-        # beyond the CPUs oversubscribe small sessions)
-        concurrency = (max(concurrency[0], min(n_parts, ncpu, concurrency[1])), concurrency[1])
+def decode_stage(mds, **decode_kwargs):
+    """Decode manifest rows → Arrow as one task-pool stage, one
+    partition per call (partitions are size-capped)."""
     return mds.map_batches(
-        DecoderActor,
-        fn_constructor_kwargs=decode_kwargs,
-        batch_format="pyarrow",
-        batch_size=1,
-        concurrency=concurrency,
+        decode_manifest_batch, fn_kwargs=decode_kwargs,
+        batch_format="pyarrow", batch_size=1,
     )

@@ -16,10 +16,10 @@ the hash exchange's reduce task), mirroring the reference's per-folder flush
 5. write `part-NNNNNN.skarc` + manifest row atomically (temp+rename,
    skar_runner.rs:296-321).
 
-Also provides ``ShardEncoder``, an actor-pool variant for the
-no-shuffle fast path: each *input block* is treated as a partition
-(partition id = deterministic block fingerprint), encoded by a pool of
-stateful actors via ``map_batches(ShardEncoder, concurrency=N)``.
+Also provides ``shard_encode_batch`` for the no-shuffle path: each
+*input block* is treated as a partition (partition id = deterministic
+block fingerprint), encoded by a task pool via
+``map_batches(shard_encode_batch, fn_kwargs=...)``.
 """
 
 from __future__ import annotations
@@ -314,9 +314,8 @@ def shard_encode_batch(
     input_fingerprint: str = "", done_ids: frozenset = frozenset(),
     codec_overrides: dict[str, str] | None = None, validate: bool = True,
 ) -> pa.Table:
-    """One input block → one encoded partition (no-shuffle path).
-    Task-pool form; ``ShardEncoder`` is the actor-pool twin for large
-    jobs (see run_encode_job's size gate)."""
+    """One input block → one encoded partition (no-shuffle path); map it
+    with ``batch_size=None`` so each call sees one whole block."""
     pid = block_pid(batch)
     if pid in done_ids:
         m = manifest.read_manifest(out_dir, pid)
@@ -336,29 +335,3 @@ def shard_encode_batch(
         codec_overrides, validate=validate,
     )
 
-
-class ShardEncoder:
-    """Actor-pool encoder for the no-shuffle path (partition = input block).
-
-    Stateful setup (codec registry, zstd context) happens once per actor
-    in ``__init__``; ``__call__`` encodes each incoming block as its own
-    partition whose id is derived from the block's content fingerprint —
-    deterministic, so resume works without a shuffle.  Used via
-    ``ds.map_batches(ShardEncoder, fn_constructor_kwargs=..., concurrency=N,
-    batch_size=None, batch_format="pyarrow")``.
-    """
-
-    def __init__(self, out_dir: str, chunk_target_bytes: int = 32 << 20,
-                 input_fingerprint: str = "", done_ids: frozenset[int] = frozenset(),
-                 codec_overrides: dict[str, str] | None = None, validate: bool = True):
-        # warm the codec registry + zstd context once per actor
-        from ..codecs import auto  # noqa: F401
-
-        self.kwargs = dict(
-            out_dir=out_dir, chunk_target_bytes=chunk_target_bytes,
-            input_fingerprint=input_fingerprint, done_ids=done_ids,
-            codec_overrides=codec_overrides, validate=validate,
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return shard_encode_batch(batch, **self.kwargs)

@@ -148,3 +148,26 @@ def test_cli_topk_and_distinct(ray_session, tmp_path, capsys):
     di = run_cli(capsys, "distinct", store, "lang")
     assert set(di["values"]) == set(raw["lang"])
     assert di["decoded_chunks"] == 0  # lang served from metadata
+    assert di["has_nan"] is False
+
+
+def test_cli_distinct_reports_nan_as_flag(ray_session, tmp_path, capsys):
+    """A float NaN leaves ``values`` and sets ``has_nan``; a string
+    column holding 'NaN' keeps the string and reports no NaN."""
+    import pyarrow as pa
+
+    src = str(tmp_path / "nan.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], type=pa.int64()),
+        "v": pa.array([1.5, float("nan"), 2.5, 1.5]),
+        "s": pa.array(["NaN", "a", "NaN", "b"]),
+    }), src)
+    store = str(tmp_path / "nstore")
+    run_cli(capsys, "encode", src, store, "--mode", "sharded")
+
+    dv = run_cli(capsys, "distinct", store, "v")
+    assert sorted(dv["values"]) == [1.5, 2.5]
+    assert dv["has_nan"] is True
+    ds = run_cli(capsys, "distinct", store, "s")
+    assert sorted(ds["values"]) == ["NaN", "a", "b"]
+    assert ds["has_nan"] is False

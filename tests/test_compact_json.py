@@ -54,12 +54,12 @@ def test_json_source_ingestion(ray_session, tmp_path):
     assert ds.count() == 300
     # shard-encode the JSON-sourced dataset directly
     out = str(tmp_path / "enc")
-    from skar_ray.stages.encoder import ShardEncoder
+    from skar_ray.stages.encoder import shard_encode_batch
 
     summary = ds.map_batches(
-        ShardEncoder,
-        fn_constructor_kwargs=dict(out_dir=out, chunk_target_bytes=1 << 20, input_fingerprint="json"),
-        batch_format="pyarrow", batch_size=None, concurrency=2,
+        shard_encode_batch,
+        fn_kwargs=dict(out_dir=out, chunk_target_bytes=1 << 20, input_fingerprint="json"),
+        batch_format="pyarrow", batch_size=None,
     ).to_pandas()
     assert summary["n_rows"].sum() == 300
     dec = decoded_dataset(out, verify=True)

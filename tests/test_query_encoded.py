@@ -418,15 +418,14 @@ def test_semi_join_across_encoded_stores_prunes_b(ray_session, tmp_path):
 
 
 def test_decoder_header_cache_hit_and_invalidation(encoded, monkeypatch):
-    """DecoderActor parses each container header once per actor
-    (round-2 flagged the declared cache as unused): repeated calls on
-    the same partition must not re-parse, and an atomically-replaced
-    file (different mtime/size) must invalidate."""
-    import glob
+    """decode_manifest_batch parses each container header once per
+    worker process: repeated calls on the same partition must not
+    re-parse, and an atomically-replaced file (different mtime/size)
+    must invalidate."""
     import os as _os
 
     from skar_ray.stages import decoder as dec_mod
-    from skar_ray.stages.decoder import DecoderActor
+    from skar_ray.stages.decoder import decode_manifest_batch
     from skar_ray.state import container as cont_mod
 
     calls = {"n": 0}
@@ -437,6 +436,7 @@ def test_decoder_header_cache_hit_and_invalidation(encoded, monkeypatch):
         return real(path)
 
     monkeypatch.setattr(dec_mod.container, "read_header", counting)
+    dec_mod._TASK_HEADER_CACHE.clear()
 
     manifests = manifest_mod.scan_manifests(OUT)
     pid, m = sorted(manifests.items())[0]
@@ -446,15 +446,14 @@ def test_decoder_header_cache_hit_and_invalidation(encoded, monkeypatch):
         "n_rows": pa.array([m.n_rows], type=pa.int64()),
         "content_sha256": pa.array([m.content_sha256]),
     })
-    actor = DecoderActor(out_dir=OUT, columns=["repo"])
-    actor(batch)
+    decode_manifest_batch(batch, out_dir=OUT, columns=["repo"])
     assert calls["n"] == 1
-    actor(batch)
+    decode_manifest_batch(batch, out_dir=OUT, columns=["repo"])
     assert calls["n"] == 1, "second call must hit the header cache"
     # touch the file (mtime change) => cache must invalidate
     path = _os.path.join(OUT, m.data_file)
     _os.utime(path, ns=(_os.stat(path).st_atime_ns, _os.stat(path).st_mtime_ns + 1))
-    actor(batch)
+    decode_manifest_batch(batch, out_dir=OUT, columns=["repo"])
     assert calls["n"] == 2, "replaced container must re-parse the header"
 
 
@@ -531,29 +530,6 @@ def test_dict_value_mask_empty_in():
     vals = pa.array(["a", "b", "c"])
     m = _dict_value_mask(vals, "in", [])
     assert m.dtype == bool and not m.any() and len(m) == 3
-
-
-def test_actor_and_task_decode_paths_agree(encoded, monkeypatch):
-    """Small scans default to the task-pool decode; the DecoderActor
-    pool is the bulk path.  Pin both to identical results so neither
-    loses runtime coverage now that path choice is adaptive."""
-    from skar_ray.stages import decoder as decoder_mod
-
-    kwargs = dict(
-        columns=["repo", "path", "lang"],
-        filters=[[("lang", "==", "python"), ("path", "prefix", "src/")]],
-    )
-    outs = {}
-    for mode in ("task", "actor"):
-        monkeypatch.setattr(decoder_mod, "_DECODE_POOL_OVERRIDE", mode)
-        outs[mode] = (
-            query_encoded(OUT, **kwargs)
-            .to_pandas()
-            .sort_values(["repo", "path", "lang"])
-            .reset_index(drop=True)
-        )
-    assert len(outs["task"]) > 0
-    assert outs["task"].equals(outs["actor"])
 
 
 def test_budgeted_empty_pages_are_typed(encoded):
