@@ -126,16 +126,16 @@ def build_corpus(spec: CorpusSpec) -> pa.Table:
     lang_idx[stray] = rng.integers(0, len(LANGS), size=int(stray.sum()))
 
     # commits: per repo a small pool, repeated over consecutive rows
-    commit_pool_size = 8
+    commits_per_repo = 8
     commit_pool = [
         hashlib.sha1(f"commit-{spec.seed}-{i}".encode()).hexdigest()
-        for i in range(n_repos * commit_pool_size)
+        for i in range(n_repos * commits_per_repo)
     ]
     # block-wise commit assignment: runs of ~32 rows share a commit
     run_id = np.arange(n) // 32
     n_runs = int(run_id[-1]) + 1 if n else 0
-    run_commit = rng.integers(0, commit_pool_size, size=max(1, n_runs))
-    commit_idx = repo_idx * commit_pool_size + run_commit[run_id]
+    run_commit = rng.integers(0, commits_per_repo, size=max(1, n_runs))
+    commit_idx = repo_idx * commits_per_repo + run_commit[run_id]
 
     # paths: shared directory prefixes, extension from lang
     d1 = rng.integers(0, len(_DIRS), size=n)

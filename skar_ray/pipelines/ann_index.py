@@ -49,8 +49,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..runtime import pool_size
 from ..stages.ann import _unit, train_centroids
+from ..stages.groups import cached_get
 from ..stages.encoder import encode_partition
 from ..state import container, manifest as manifest_mod
 
@@ -108,30 +108,25 @@ def build_ivf_index(
     cent = train_centroids(ds, n_lists, sample_rows=max(4096, 32 * n_lists), seed=seed)
     cent_ref = ray.put(cent)
 
-    class AssignLists:
-        def __init__(self, ref):
-            self.cent = ray.get(ref)  # broadcast: fetched once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vals = np.stack(batch.column("embedding").to_pandas().to_numpy())
-            m = _unit(vals.astype(np.float64))
-            lists = np.argmax(m @ self.cent.T, axis=1).astype(np.int64)
-            emb_t = batch.column("embedding").type
-            if not (pa.types.is_list(emb_t) or pa.types.is_large_list(emb_t)):
-                # from_pandas inputs arrive as an ArrowTensorArray
-                # extension column (and fixed_size_list has no codec
-                # name); the codec layer speaks plain list<T>
-                d = vals.shape[1]
-                flat = pa.array(vals.reshape(-1))
-                offs = pa.array(np.arange(0, (len(vals) + 1) * d, d, dtype=np.int32))
-                lst = pa.ListArray.from_arrays(offs, flat)
-                i = batch.column_names.index("embedding")
-                batch = batch.set_column(i, "embedding", lst)
-            return batch.append_column("pkey", pa.array(lists))
+    def assign_lists(batch: pa.Table) -> pa.Table:
+        vals = np.stack(batch.column("embedding").to_pandas().to_numpy())
+        m = _unit(vals.astype(np.float64))
+        lists = np.argmax(m @ cached_get(cent_ref).T, axis=1).astype(np.int64)
+        emb_t = batch.column("embedding").type
+        if not (pa.types.is_list(emb_t) or pa.types.is_large_list(emb_t)):
+            # from_pandas inputs arrive as an ArrowTensorArray
+            # extension column (and fixed_size_list has no codec
+            # name); the codec layer speaks plain list<T>
+            d = vals.shape[1]
+            flat = pa.array(vals.reshape(-1))
+            offs = pa.array(np.arange(0, (len(vals) + 1) * d, d, dtype=np.int32))
+            lst = pa.ListArray.from_arrays(offs, flat)
+            i = batch.column_names.index("embedding")
+            batch = batch.set_column(i, "embedding", lst)
+        return batch.append_column("pkey", pa.array(lists))
 
     keyed = ds.select_columns(["vec_id", "embedding"]).map_batches(
-        AssignLists, fn_constructor_args=(cent_ref,), batch_format="pyarrow",
-        batch_size=4096, concurrency=pool_size(),
+        assign_lists, batch_format="pyarrow", batch_size=4096,
     )
 
     os.makedirs(index_dir, exist_ok=True)
@@ -200,46 +195,41 @@ def ivf_index_topk(
 
     manifests = manifest_mod.scan_manifests(index_dir)
     probed_lists = sorted({int(l) for l in probes.ravel() if int(l) in manifests})
-    state = ray.put((q, probes, k))
+    state = ray.put((q, probes))
 
     rows = [
         {"partition_id": pid, "data_file": manifests[pid].data_file}
         for pid in probed_lists
     ]
 
-    class ListScorer:
-        def __init__(self, ref, root):
-            self.q, self.probes, self.k = ray.get(ref)
-            self.root = root
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            out = []
-            for pid, fname in zip(batch["partition_id"], batch["data_file"]):
-                t = container.read_container(
-                    os.path.join(self.root, fname), columns=["vec_id", "embedding"]
+    def score_lists(batch: pd.DataFrame) -> pd.DataFrame:
+        q_, probes_ = cached_get(state)
+        out = []
+        for pid, fname in zip(batch["partition_id"], batch["data_file"]):
+            t = container.read_container(
+                os.path.join(index_dir, fname), columns=["vec_id", "embedding"]
+            )
+            m = _unit(np.stack(t.column("embedding").to_pandas().to_numpy()).astype(np.float64))
+            ids = t.column("vec_id").to_numpy()
+            qids = np.flatnonzero((probes_ == int(pid)).any(axis=1))
+            kk = min(k, m.shape[0])
+            if kk == 0 or len(qids) == 0:
+                continue
+            # one BLAS gemm for every query probing this list
+            # (rows × queries), then a single batched argpartition —
+            # the brute_force_pairs pattern, not a per-query matvec
+            S = m @ q_[qids].T  # (n_rows, n_q)
+            top = np.argpartition(-S, kk - 1, axis=0)[:kk]  # (kk, n_q)
+            for c, qi in enumerate(qids):
+                js = top[:, c]
+                out.extend(
+                    (int(qi), int(ids[j]), float(S[j, c])) for j in js
                 )
-                m = _unit(np.stack(t.column("embedding").to_pandas().to_numpy()).astype(np.float64))
-                ids = t.column("vec_id").to_numpy()
-                qids = np.flatnonzero((self.probes == int(pid)).any(axis=1))
-                kk = min(self.k, m.shape[0])
-                if kk == 0 or len(qids) == 0:
-                    continue
-                # one BLAS gemm for every query probing this list
-                # (rows × queries), then a single batched argpartition —
-                # the brute_force_pairs pattern, not a per-query matvec
-                S = m @ self.q[qids].T  # (n_rows, n_q)
-                top = np.argpartition(-S, kk - 1, axis=0)[:kk]  # (kk, n_q)
-                for c, qi in enumerate(qids):
-                    js = top[:, c]
-                    out.extend(
-                        (int(qi), int(ids[j]), float(S[j, c])) for j in js
-                    )
-            return pd.DataFrame(out, columns=["query_id", "vec_id", "cosine"])
+        return pd.DataFrame(out, columns=["query_id", "vec_id", "cosine"])
 
     if rows:
         partials = ray.data.from_items(rows).map_batches(
-            ListScorer, fn_constructor_args=(state, index_dir), batch_format="pandas",
-            batch_size=1, concurrency=pool_size(),
+            score_lists, batch_format="pandas", batch_size=1,
         ).to_pandas()
     else:
         partials = pd.DataFrame(columns=["query_id", "vec_id", "cosine"])

@@ -22,9 +22,9 @@ import pyarrow as pa
 import ray.data
 
 from ..stages import ann, dedup, joins, multimodal, text, training, windows
+from ..stages.groups import cached_get
 from . import ann_index
 from . import queries as Q
-from ..runtime import pool_size
 
 # Phase timings of the most recent call per query (bench introspection:
 # the query_encoded_* entries time store-encode + query together from the
@@ -688,27 +688,27 @@ def _docs(sf_dir: str) -> "ray.data.Dataset":
 
 
 def token_count(sf_dir: str) -> pd.DataFrame:
-    out = _docs(sf_dir).map_batches(text.TokenCounter, batch_format="pandas", concurrency=pool_size()).to_pandas()
+    out = _docs(sf_dir).map_batches(text.token_counts, batch_format="pandas").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
 def token_count_bpe(sf_dir: str) -> pd.DataFrame:
-    out = _docs(sf_dir).map_batches(text.BPETokenCounter, batch_format="pandas", concurrency=pool_size()).to_pandas()
+    out = _docs(sf_dir).map_batches(text.bpe_token_counts, batch_format="pandas").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
 def quality_score(sf_dir: str) -> pd.DataFrame:
-    out = _docs(sf_dir).map_batches(text.QualityScorer, batch_format="pandas", concurrency=pool_size()).to_pandas()
+    out = _docs(sf_dir).map_batches(text.quality_scores, batch_format="pandas").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
 def fingerprint_md5(sf_dir: str) -> pd.DataFrame:
-    out = _docs(sf_dir).map_batches(text.Fingerprinter, batch_format="pandas", concurrency=pool_size()).to_pandas()
+    out = _docs(sf_dir).map_batches(text.fingerprints, batch_format="pandas").to_pandas()
     return out[["doc_id", "md5"]].sort_values("doc_id").reset_index(drop=True)
 
 
 def fingerprint_rolling(sf_dir: str) -> pd.DataFrame:
-    out = _docs(sf_dir).map_batches(text.Fingerprinter, batch_format="pandas", concurrency=pool_size()).to_pandas()
+    out = _docs(sf_dir).map_batches(text.fingerprints, batch_format="pandas").to_pandas()
     return out[["doc_id", "rolling_fp"]].sort_values("doc_id").reset_index(drop=True)
 
 
@@ -716,7 +716,7 @@ def chunk_documents(sf_dir: str) -> pd.DataFrame:
     """Context-window chunking: overlapping 128-char chunks at stride
     96 — one doc fans out to ceil(n_chars/96) rows (flat-map shape)."""
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = ds.map_batches(text.Chunker, batch_format="pandas", concurrency=pool_size()).to_pandas()
+    out = ds.map_batches(text.chunk_texts, batch_format="pandas").to_pandas()
     # the SQL oracle enumerates chunk ordinals via generate_series(0, 15);
     # a longer document would silently truncate the ORACLE — fail loudly
     # here instead (same guard as inverted_index)
@@ -742,7 +742,7 @@ def heavy_hitters(sf_dir: str) -> pd.DataFrame:
 
 
 def lang_id(sf_dir: str) -> pd.DataFrame:
-    out = _docs(sf_dir).map_batches(text.LangId, batch_format="pandas", concurrency=pool_size()).to_pandas()
+    out = _docs(sf_dir).map_batches(text.lang_id, batch_format="pandas").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -780,20 +780,15 @@ def label_confusion(sf_dir: str) -> pd.DataFrame:
     docs before they skew a per-language mixture.  Per-batch partial
     counts (the pre-aggregate pattern), tiny groupby merge."""
 
-    class Confusion:
-        def __init__(self):
-            self.lid = text.LangId()
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            pred = self.lid(batch)
-            out = pd.DataFrame(
-                {
-                    "lang": batch["lang"].to_numpy(),
-                    "lang_pred": pred["lang_pred"].to_numpy(),
-                    "n": 1,
-                }
-            )
-            return out.groupby(["lang", "lang_pred"], as_index=False).sum()
+    def confusion(batch: pd.DataFrame) -> pd.DataFrame:
+        out = pd.DataFrame(
+            {
+                "lang": batch["lang"].to_numpy(),
+                "lang_pred": text.lang_id(batch)["lang_pred"].to_numpy(),
+                "n": 1,
+            }
+        )
+        return out.groupby(["lang", "lang_pred"], as_index=False).sum()
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -814,7 +809,7 @@ def label_confusion(sf_dir: str) -> pd.DataFrame:
 
     out = (
         _docs(sf_dir)
-        .map_batches(Confusion, batch_format="pandas", concurrency=pool_size())
+        .map_batches(confusion, batch_format="pandas")
         .groupby(["lang", "lang_pred"])
         .map_groups(merge, batch_format="pandas")
         .to_pandas()
@@ -876,7 +871,7 @@ def mix_sample(sf_dir: str) -> pd.DataFrame:
     tref = ray.put(targets)
 
     def partials(batch: pd.DataFrame) -> pd.DataFrame:
-        t = ray.get(tref)
+        t = cached_get(tref)
         b = batch[batch["lang"].isin(list(t))][["doc_id", "lang"]].copy()
         if not len(b):
             return pd.DataFrame(
@@ -897,7 +892,7 @@ def mix_sample(sf_dir: str) -> pd.DataFrame:
                 {"doc_id": pd.Series([], dtype="int64"),
                  "lang": pd.Series([], dtype="object")}
             )
-        k = ray.get(tref)[g["lang"].iloc[0]]
+        k = cached_get(tref)[g["lang"].iloc[0]]
         return g.sort_values("rk").head(k)[["doc_id", "lang"]]
 
     out = (
@@ -948,13 +943,13 @@ def pii_scrub(sf_dir: str) -> pd.DataFrame:
     """PII redaction (emails then IPv4 literals → placeholders) with
     per-doc match counts and the md5 of the scrubbed text — the
     privacy-cleaning pass of a training-data pipeline, vectorized
-    compiled-regex map_batches (stages/text.PiiScrubber).  The input
+    compiled-regex map_batches (stages/text.pii_scrub).  The input
     text is augmented with deterministic doc_id-derived PII so the
     redaction path actually fires (see _inject_pii)."""
     out = (
         _docs(sf_dir)
         .map_batches(_inject_pii, batch_format="pandas")
-        .map_batches(text.PiiScrubber, batch_format="pandas", concurrency=pool_size())
+        .map_batches(text.pii_scrub, batch_format="pandas")
         .to_pandas()
     )
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -1009,8 +1004,6 @@ def curation_pipeline(sf_dir: str) -> pd.DataFrame:
     ids_ref = ray.put(ids)
 
     def keep_first(batch: pd.DataFrame) -> pd.DataFrame:
-        from ..stages.groups import cached_get
-
         ids_ = cached_get(ids_ref)
         b = gate(batch)
         return b.loc[_in_sorted(ids_, b["doc_id"].to_numpy(np.int64))]
@@ -1033,12 +1026,12 @@ def _inject_decomposed(batch: pd.DataFrame) -> pd.DataFrame:
 
 def normalize_nfc(sf_dir: str) -> pd.DataFrame:
     """Unicode NFC normalization report (md5 of the normalized text,
-    normalized length, changed flag) — stages/text.NfcNormalizer over
+    normalized length, changed flag) — stages/text.nfc_normalize over
     text augmented with deterministic decomposed sequences."""
     out = (
         _docs(sf_dir)
         .map_batches(_inject_decomposed, batch_format="pandas")
-        .map_batches(text.NfcNormalizer, batch_format="pandas", concurrency=pool_size())
+        .map_batches(text.nfc_normalize, batch_format="pandas")
         .to_pandas()
     )
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -1108,9 +1101,7 @@ def repetition_stats(sf_dir: str) -> pd.DataFrame:
     """Gopher-style repetition signals per doc (duplicate-line and
     top-bigram concentration) — the boilerplate/spam gate of a training
     corpus cleaner.  Integer counts for an exact SQL hash."""
-    out = _docs(sf_dir).map_batches(
-        text.RepetitionStats, batch_format="pandas", concurrency=pool_size()
-    ).to_pandas()
+    out = _docs(sf_dir).map_batches(text.repetition_stats, batch_format="pandas").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1140,24 +1131,18 @@ def decontaminate(sf_dir: str, k: int = 8, bench_mod: int = 10) -> pd.DataFrame:
     )
     ref = ray.put(bench)
 
-    class Prober:
-        def __init__(self, ref):
-            self.bench = ray.get(ref)  # broadcast: fetched once per actor
+    def probe(batch: pd.DataFrame) -> pd.DataFrame:
+        b = batch[batch["doc_id"] % bench_mod != 0].reset_index(drop=True)
+        pos, grams = text.kgram_positions(b["text"], k)
+        out = {"doc_id": pd.Series([], dtype="int64"), "n_hits": pd.Series([], dtype="int64")}
+        if len(pos):
+            hit = pd.Series(grams).isin(cached_get(ref)).to_numpy()
+            if hit.any():
+                hits = pd.Series(b["doc_id"].to_numpy()[pos[hit]]).value_counts().sort_index()
+                out = {"doc_id": hits.index.astype("int64"), "n_hits": hits.to_numpy().astype("int64")}
+        return pd.DataFrame(out)
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            b = batch[batch["doc_id"] % bench_mod != 0].reset_index(drop=True)
-            pos, grams = text.kgram_positions(b["text"], k)
-            out = {"doc_id": pd.Series([], dtype="int64"), "n_hits": pd.Series([], dtype="int64")}
-            if len(pos):
-                hit = pd.Series(grams).isin(self.bench).to_numpy()
-                if hit.any():
-                    hits = pd.Series(b["doc_id"].to_numpy()[pos[hit]]).value_counts().sort_index()
-                    out = {"doc_id": hits.index.astype("int64"), "n_hits": hits.to_numpy().astype("int64")}
-            return pd.DataFrame(out)
-
-    parts = ds.map_batches(
-        Prober, fn_constructor_args=(ref,), batch_format="pandas", concurrency=pool_size()
-    ).to_pandas()
+    parts = ds.map_batches(probe, batch_format="pandas").to_pandas()
     return parts.sort_values("doc_id").reset_index(drop=True).astype({"doc_id": "int64", "n_hits": "int64"})
 
 
@@ -1186,34 +1171,26 @@ def decontaminate_bloom(sf_dir: str, k: int = 8, bench_mod: int = 10) -> pd.Data
     bench = ds.map_batches(bench_grams, batch_format="pandas").to_pandas()
     u = pd.unique(bench["g"]) if len(bench) else np.array([], dtype=object)
     hashes = np.unique(pd.util.hash_array(u)) if len(u) else np.array([], dtype=np.uint64)
-    sbbf_hex = SplitBlockBloom.build_from_hashes(hashes).serialize()
-    bref = ray.put(sbbf_hex)
+    bref = ray.put(SplitBlockBloom.build_from_hashes(hashes))
     markers = ray.data.from_pandas(
         pd.DataFrame({"g": u, "doc_id": np.full(len(u), -1, dtype=np.int64)})
     )
 
-    class BloomProber:
-        def __init__(self, ref):
-            self.sbbf = SplitBlockBloom.deserialize(ray.get(ref))
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            b = batch[batch["doc_id"] % bench_mod != 0].reset_index(drop=True)
-            pos, grams = text.kgram_positions(b["text"], k)
-            if not len(pos):
-                return pd.DataFrame(
-                    {"g": pd.Series([], dtype="object"),
-                     "doc_id": pd.Series([], dtype="int64")}
-                )
-            keep = self.sbbf.contains_hashes(pd.util.hash_array(grams))
+    def bloom_probe(batch: pd.DataFrame) -> pd.DataFrame:
+        b = batch[batch["doc_id"] % bench_mod != 0].reset_index(drop=True)
+        pos, grams = text.kgram_positions(b["text"], k)
+        if not len(pos):
             return pd.DataFrame(
-                {"g": grams[keep],
-                 "doc_id": b["doc_id"].to_numpy()[pos[keep]].astype("int64")}
+                {"g": pd.Series([], dtype="object"),
+                 "doc_id": pd.Series([], dtype="int64")}
             )
+        keep = cached_get(bref).contains_hashes(pd.util.hash_array(grams))
+        return pd.DataFrame(
+            {"g": grams[keep],
+             "doc_id": b["doc_id"].to_numpy()[pos[keep]].astype("int64")}
+        )
 
-    probed = ds.map_batches(
-        BloomProber, fn_constructor_args=(bref,), batch_format="pandas",
-        concurrency=pool_size(),
-    )
+    probed = ds.map_batches(bloom_probe, batch_format="pandas")
 
     def per_gram(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -1451,7 +1428,7 @@ def multimodal_image_meta(sf_dir: str) -> pd.DataFrame:
         lambda t: t.filter(_pc.equal(t.column("kind"), "image")), batch_format="pyarrow"
     )
     out = images.map_batches(
-        multimodal.ImageDecoder, batch_format="pyarrow", batch_size=64, concurrency=pool_size()
+        multimodal.decode_images, batch_format="pyarrow", batch_size=64
     ).to_pandas()
     return out.sort_values("media_id").reset_index(drop=True)
 
@@ -1467,7 +1444,7 @@ def multimodal_audio_meta(sf_dir: str) -> pd.DataFrame:
         lambda t: t.filter(_pc.equal(t.column("kind"), "audio")), batch_format="pyarrow"
     )
     out = audio.map_batches(
-        multimodal.AudioFeatures, batch_format="pyarrow", batch_size=64, concurrency=pool_size()
+        multimodal.audio_features, batch_format="pyarrow", batch_size=64
     ).to_pandas()[["media_id", "duration_s"]]
     return out.sort_values("media_id").reset_index(drop=True)
 
@@ -1483,7 +1460,7 @@ def multimodal_frames(sf_dir: str) -> pd.DataFrame:
         lambda t: t.filter(_pc.equal(t.column("kind"), "video")), batch_format="pyarrow"
     )
     out = videos.map_batches(
-        multimodal.FrameSampler, batch_format="pyarrow", batch_size=64, concurrency=pool_size()
+        multimodal.sample_frames, batch_format="pyarrow", batch_size=64
     ).to_pandas()
     out = out.drop(columns=["frame_bytes"])  # offsets prove the plumbing; keep result hashable
     return out.sort_values(["media_id", "frame"]).reset_index(drop=True)
@@ -1503,7 +1480,7 @@ def multimodal_audio(sf_dir: str) -> pd.DataFrame:
         lambda t: t.filter(_pc.equal(t.column("kind"), "audio")), batch_format="pyarrow"
     )
     out = audio.map_batches(
-        multimodal.AudioFeatures, batch_format="pyarrow", batch_size=64, concurrency=pool_size()
+        multimodal.audio_features, batch_format="pyarrow", batch_size=64
     ).to_pandas()
     return out.sort_values("media_id").reset_index(drop=True)
 
@@ -1650,7 +1627,7 @@ _CORPUS_IDENTITY_SQL = (
 
 def _rolling_fp_sql() -> str:
     """From-scratch SQL re-derivation of the Rabin-Karp rolling-min
-    fingerprint (stages/text.py Fingerprinter): per-window polynomial
+    fingerprint (stages/text.py fingerprints): per-window polynomial
     hash over code points, base 1000003 mod 2^64 via HUGEINT, min over
     windows, masked to 63 bits.  Bit-identical to the engine."""
     m64 = 1 << 64
@@ -1673,7 +1650,7 @@ FROM cps ORDER BY doc_id"""
 
 def _simhash_pairs_sql(seed: int = 42, max_hamming: int = 3) -> str:
     """From-scratch SQL re-derivation of the full SimHash pair set
-    (stages/dedup.py SimHasher + simhash_pairs): tokenize, hash each
+    (stages/dedup.py simhash + simhash_pairs): tokenize, hash each
     distinct token with md5_number_lower (the engine mirrors its
     little-endian low-8-bytes semantics), majority-vote the 64 bits,
     then brute-force every doc pair with hamming <= max_hamming.  Valid

@@ -20,7 +20,7 @@ import pyarrow as pa
 
 import ray
 import ray.data
-from ..runtime import pool_size
+from .groups import cached_get
 
 
 def _unit(m: np.ndarray) -> np.ndarray:
@@ -34,27 +34,19 @@ def brute_force_topk(ds: "ray.data.Dataset", queries: np.ndarray, k: int = 10) -
     q = _unit(np.asarray(queries, dtype=np.float64))
     q_ref = ray.put(q)
 
-    class Scorer:
-        def __init__(self, ref, k):
-            self.q = ray.get(ref)  # broadcast: fetched once per actor
-            self.k = k
+    def score(batch: pd.DataFrame) -> pd.DataFrame:
+        m = _unit(np.stack(batch["embedding"].to_numpy()).astype(np.float64))
+        sims = cached_get(q_ref) @ m.T  # (nq, nb)
+        ids = batch["vec_id"].to_numpy()
+        kk = min(k, sims.shape[1])
+        top = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
+        rows = []
+        for qi in range(sims.shape[0]):
+            for j in top[qi]:
+                rows.append((qi, int(ids[j]), float(sims[qi, j])))
+        return pd.DataFrame(rows, columns=["query_id", "vec_id", "cosine"])
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            m = _unit(np.stack(batch["embedding"].to_numpy()).astype(np.float64))
-            sims = self.q @ m.T  # (nq, nb)
-            ids = batch["vec_id"].to_numpy()
-            kk = min(self.k, sims.shape[1])
-            top = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-            rows = []
-            for qi in range(sims.shape[0]):
-                for j in top[qi]:
-                    rows.append((qi, int(ids[j]), float(sims[qi, j])))
-            return pd.DataFrame(rows, columns=["query_id", "vec_id", "cosine"])
-
-    partials = ds.map_batches(
-        Scorer, fn_constructor_args=(q_ref, k), batch_format="pandas",
-        batch_size=4096, concurrency=pool_size(),
-    ).to_pandas()
+    partials = ds.map_batches(score, batch_format="pandas", batch_size=4096).to_pandas()
     out = (
         partials.sort_values(["query_id", "cosine", "vec_id"], ascending=[True, False, True])
         .groupby("query_id", as_index=False)
@@ -96,31 +88,24 @@ def ivf_topk(ds: "ray.data.Dataset", queries: np.ndarray, k: int = 10,
     probes = np.argsort(-(q @ cent.T), axis=1)[:, :nprobe]  # (nq, nprobe)
     state = ray.put((q, cent, probes))
 
-    class Scorer:
-        def __init__(self, ref, k):
-            self.q, self.cent, self.probes = ray.get(ref)
-            self.k = k
+    def score(batch: pd.DataFrame) -> pd.DataFrame:
+        q_, cent_, probes_ = cached_get(state)
+        m = _unit(np.stack(batch["embedding"].to_numpy()).astype(np.float64))
+        ids = batch["vec_id"].to_numpy()
+        lists = np.argmax(m @ cent_.T, axis=1)
+        rows = []
+        for qi in range(len(q_)):
+            mask = np.isin(lists, probes_[qi])
+            if not mask.any():
+                continue
+            sims = m[mask] @ q_[qi]
+            sub_ids = ids[mask]
+            kk = min(k, len(sims))
+            top = np.argpartition(-sims, kk - 1)[:kk]
+            rows.extend((qi, int(sub_ids[j]), float(sims[j])) for j in top)
+        return pd.DataFrame(rows, columns=["query_id", "vec_id", "cosine"])
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            m = _unit(np.stack(batch["embedding"].to_numpy()).astype(np.float64))
-            ids = batch["vec_id"].to_numpy()
-            lists = np.argmax(m @ self.cent.T, axis=1)
-            rows = []
-            for qi in range(len(self.q)):
-                mask = np.isin(lists, self.probes[qi])
-                if not mask.any():
-                    continue
-                sims = m[mask] @ self.q[qi]
-                sub_ids = ids[mask]
-                kk = min(self.k, len(sims))
-                top = np.argpartition(-sims, kk - 1)[:kk]
-                rows.extend((qi, int(sub_ids[j]), float(sims[j])) for j in top)
-            return pd.DataFrame(rows, columns=["query_id", "vec_id", "cosine"])
-
-    partials = ds.map_batches(
-        Scorer, fn_constructor_args=(state, k), batch_format="pandas",
-        batch_size=4096, concurrency=pool_size(),
-    ).to_pandas()
+    partials = ds.map_batches(score, batch_format="pandas", batch_size=4096).to_pandas()
     out = (
         partials.sort_values(["query_id", "cosine", "vec_id"], ascending=[True, False, True])
         .groupby("query_id", as_index=False)
@@ -138,7 +123,7 @@ def brute_force_pairs(ds: "ray.data.Dataset", threshold: float = 0.4,
     callers wanting scores recompute them.
 
     Shape: one side of the self-join is broadcast as a unit matrix
-    (``ray.put`` once, fetched once per actor); each batch computes its
+    (``ray.put`` once, fetched once per worker process); each batch computes its
     block-row of the similarity matrix vectorized.  The broadcast side
     must fit the object store — ``max_rows`` guards that LOUDLY
     (the semi-join ``max_keys`` pattern, query_encoded.py): past the
@@ -159,23 +144,16 @@ def brute_force_pairs(ds: "ray.data.Dataset", threshold: float = 0.4,
     m_all = _unit(np.stack(full["embedding"].to_numpy()).astype(np.float64))
     ref = ray.put((ids_all, m_all))
 
-    class PairScorer:
-        def __init__(self, ref, thr):
-            self.ids, self.m = ray.get(ref)
-            self.thr = thr
+    def score_pairs(batch: pd.DataFrame) -> pd.DataFrame:
+        ids_, m_ = cached_get(ref)
+        bm = _unit(np.stack(batch["embedding"].to_numpy()).astype(np.float64))
+        bids = batch["vec_id"].to_numpy(dtype=np.int64)
+        sims = bm @ m_.T
+        ia, ib = np.where(sims >= threshold)
+        va, vb = bids[ia], ids_[ib]
+        keep = va < vb  # upper triangle only; also drops self-pairs
+        return pd.DataFrame({"vec_a": va[keep], "vec_b": vb[keep]})
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            bm = _unit(np.stack(batch["embedding"].to_numpy()).astype(np.float64))
-            bids = batch["vec_id"].to_numpy(dtype=np.int64)
-            sims = bm @ self.m.T
-            ia, ib = np.where(sims >= self.thr)
-            va, vb = bids[ia], self.ids[ib]
-            keep = va < vb  # upper triangle only; also drops self-pairs
-            return pd.DataFrame({"vec_a": va[keep], "vec_b": vb[keep]})
-
-    out = ds.map_batches(
-        PairScorer, fn_constructor_args=(ref, threshold), batch_format="pandas",
-        batch_size=4096, concurrency=pool_size(),
-    ).to_pandas()
+    out = ds.map_batches(score_pairs, batch_format="pandas", batch_size=4096).to_pandas()
     out = out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
     return pa.Table.from_pandas(out.astype({"vec_a": "int64", "vec_b": "int64"}))

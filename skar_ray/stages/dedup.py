@@ -18,6 +18,7 @@ All follow the same scalable shape:
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pandas as pd
@@ -25,7 +26,7 @@ import pyarrow as pa
 
 import ray
 import ray.data
-from ..runtime import pool_size
+from .groups import cached_get
 
 _MERSENNE = (1 << 61) - 1
 
@@ -160,8 +161,6 @@ def capped_pairs(ids: list, window: int = 8) -> list[tuple]:
 _BROADCAST_PAIR_LIMIT = 50_000
 _BROADCAST_ID_LIMIT = 100_000
 
-from .groups import cached_get as _cached_get  # noqa: E402  (shared per-process broadcast cache)
-
 
 @ray.remote(num_returns=3)
 def _pair_block_meta(t: pa.Table, a: str, b: str):
@@ -240,29 +239,23 @@ def _pairs_with_feature(
         farr = pa.array(fdf.iloc[:, 1].to_numpy()[order], type=pa.large_binary())
         fmap_ref = ray.put((fids[order], farr))
 
-        class Attach:
-            def __init__(self, ref):
-                self.ids, self.farr = ray.get(ref)  # fetched once per actor
+        def attach(t: pa.Table) -> pa.Table:
+            # vectorized id→feature attach: searchsorted probe +
+            # Arrow take on the sorted binary array (no row loop)
+            ids, farr = cached_get(fmap_ref)
+            xa = t.column(a).to_numpy(zero_copy_only=False).astype(np.int64)
+            xb = t.column(b).to_numpy(zero_copy_only=False).astype(np.int64)
+            pos_a, ok_a = _lookup_sorted(ids, xa)
+            pos_b, ok_b = _lookup_sorted(ids, xb)
+            ok = ok_a & ok_b  # inner-join semantics
+            return pa.table({
+                a: pa.array(xa[ok], type=pa.int64()),
+                b: pa.array(xb[ok], type=pa.int64()),
+                "f_a": farr.take(pa.array(pos_a[ok], type=pa.int64())),
+                "f_b": farr.take(pa.array(pos_b[ok], type=pa.int64())),
+            })
 
-            def __call__(self, t: pa.Table) -> pa.Table:
-                # vectorized id→feature attach: searchsorted probe +
-                # Arrow take on the sorted binary array (no row loop)
-                xa = t.column(a).to_numpy(zero_copy_only=False).astype(np.int64)
-                xb = t.column(b).to_numpy(zero_copy_only=False).astype(np.int64)
-                pos_a, ok_a = _lookup_sorted(self.ids, xa)
-                pos_b, ok_b = _lookup_sorted(self.ids, xb)
-                ok = ok_a & ok_b  # inner-join semantics
-                return pa.table({
-                    a: pa.array(xa[ok], type=pa.int64()),
-                    b: pa.array(xb[ok], type=pa.int64()),
-                    "f_a": self.farr.take(pa.array(pos_a[ok], type=pa.int64())),
-                    "f_b": self.farr.take(pa.array(pos_b[ok], type=pa.int64())),
-                })
-
-        return pairs.map_batches(
-            Attach, fn_constructor_args=(fmap_ref,), batch_format="pyarrow",
-            concurrency=pool_size(),
-        )
+        return pairs.map_batches(attach, batch_format="pyarrow")
 
     def _feat_as(suffix: str) -> "ray.data.Dataset":
         return feats.map_batches(
@@ -332,39 +325,6 @@ def exact_dedup(ds: "ray.data.Dataset", col: str = "text", id_col: str = "doc_id
 
 # ---------------------------------------------------------------- minhash
 
-class MinHasher:
-    """Per-actor state: the (a, b) permutation coefficients, built once."""
-
-    def __init__(self, num_perm: int = 128, k: int = 5, seed: int = 42,
-                 emit_bands: int | None = None):
-        rng = np.random.default_rng(seed)
-        self.a = rng.integers(1, _MERSENNE, num_perm, dtype=np.uint64)
-        self.b = rng.integers(0, _MERSENNE, num_perm, dtype=np.uint64)
-        self.k = k
-        self.num_perm = num_perm
-        # emit (band_id, band_hash, doc_id) LSH rows directly instead of
-        # signatures — fuses the signature and banding stages
-        self.emit_bands = emit_bands
-
-    def signature(self, text: str) -> np.ndarray:
-        sh = _hash_shingles(text, self.k)
-        if len(sh) == 0:
-            return np.zeros(self.num_perm, dtype=np.uint64)
-        # (a*x + b) mod p, min over shingles, per permutation
-        x = sh.astype(np.uint64)[:, None]
-        vals = (x * self.a[None, :] + self.b[None, :]) % np.uint64(_MERSENNE)
-        return vals.min(axis=0)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        # per-doc: each (shingles × perms) temp stays L2-resident; a
-        # concatenated-slab reduceat variant measured 1.5-3× SLOWER
-        # (64 MB temps + reduceat overhead) — don't retry it
-        sigs = np.stack([self.signature(s) for s in batch["text"]])
-        if self.emit_bands is None:
-            return pd.DataFrame({"doc_id": batch["doc_id"].to_numpy(), "sig": list(sigs)})
-        return band_rows(sigs, batch["doc_id"].to_numpy(), self.emit_bands)
-
-
 def band_rows(sigs: np.ndarray, doc_ids: np.ndarray, n_bands: int) -> pd.DataFrame:
     """(band_id, band_hash, doc_id) rows for a (n_docs, num_perm)
     signature matrix, fully vectorised: each band's 8-lane slice folds
@@ -391,21 +351,30 @@ def band_rows(sigs: np.ndarray, doc_ids: np.ndarray, n_bands: int) -> pd.DataFra
     })
 
 
-_MINHASHER_CACHE: dict = {}
-
-
 def _minhash_bands(batch: pd.DataFrame, num_perm: int, k: int, n_bands: int,
                    seed: int = 42) -> pd.DataFrame:
-    """Task-pool MinHasher: per-process cache replaces per-actor
-    __init__ state.  The coefficients cost microseconds to build, so an
-    actor pool's ~1 s spin-up per pipeline (every pipeline — pools are
-    not reused across jobs) bought nothing; warm task workers run the
-    whole 1.2-core-second stage in ~0.2 s."""
-    key = (num_perm, k, n_bands, seed)
-    mh = _MINHASHER_CACHE.get(key)
-    if mh is None:
-        mh = _MINHASHER_CACHE[key] = MinHasher(num_perm, k, seed, emit_bands=n_bands)
-    return mh(batch)
+    """(band_id, band_hash, doc_id) LSH rows of every document's MinHash
+    signature — signature and banding fused in one stage.  The (a, b)
+    permutation coefficients are rebuilt per batch: they cost
+    microseconds."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, _MERSENNE, num_perm, dtype=np.uint64)
+    b = rng.integers(0, _MERSENNE, num_perm, dtype=np.uint64)
+
+    def signature(text: str) -> np.ndarray:
+        sh = _hash_shingles(text, k)
+        if len(sh) == 0:
+            return np.zeros(num_perm, dtype=np.uint64)
+        # (a*x + b) mod p, min over shingles, per permutation
+        x = sh.astype(np.uint64)[:, None]
+        vals = (x * a[None, :] + b[None, :]) % np.uint64(_MERSENNE)
+        return vals.min(axis=0)
+
+    # per-doc: each (shingles × perms) temp stays L2-resident; a
+    # concatenated-slab reduceat variant measured 1.5-3× SLOWER
+    # (64 MB temps + reduceat overhead) — don't retry it
+    sigs = np.stack([signature(s) for s in batch["text"]])
+    return band_rows(sigs, batch["doc_id"].to_numpy(), n_bands)
 
 
 def _shingle_feats(batch: pa.Table, ids_ref, k: int) -> pa.Table:
@@ -413,7 +382,7 @@ def _shingle_feats(batch: pa.Table, ids_ref, k: int) -> pa.Table:
     zero-copy numpy per task)."""
     import pyarrow.compute as pc
 
-    ids = pa.array(_cached_get(ids_ref))
+    ids = pa.array(cached_get(ids_ref))
     sub = batch.filter(pc.is_in(pc.cast(batch.column("doc_id"), pa.int64()), value_set=ids))
     sh = [_hash_shingles(t.as_py(), k).tobytes() for t in sub.column("text")]
     return pa.table({
@@ -460,7 +429,7 @@ def _verify_jaccard_pairs(
             # fully vectorized: searchsorted attach + one lexsort-based
             # batched jaccard over every candidate pair — no per-pair
             # Python (was the last row loop in the dedup hot tail)
-            ids_s, offs_, flat_ = _cached_get(fmap_ref)
+            ids_s, offs_, flat_ = cached_get(fmap_ref)
             xa = np.asarray(t.column("doc_a"), dtype=np.int64)
             xb = np.asarray(t.column("doc_b"), dtype=np.int64)
             pos_a, ok_a = _lookup_sorted(ids_s, xa)
@@ -507,11 +476,11 @@ def minhash_lsh_pairs(
     """Near-duplicate pairs (doc_a < doc_b, jaccard >= threshold).
 
     shingle→minhash→band→bucket-groupby→candidates→exact-verify.
-    Stage-count-lean since r4: task pools with per-process state (no
-    actor spin-up), singleton band groups dropped vectorised in the
-    exchange, dedupe+count+involved-ids fused into one raw-task wave,
-    and feature-attach+verify fused into a single stage on the
-    broadcast path.
+    Stage-count-lean since r4: task pools (no actor spin-up),
+    singleton band groups dropped vectorised in the exchange,
+    dedupe+count+involved-ids fused into one raw-task wave, and
+    feature-attach+verify fused into a single stage on the broadcast
+    path.
     """
     buckets = ds.map_batches(
         _minhash_bands,
@@ -533,53 +502,39 @@ def minhash_lsh_pairs(
 
 # ---------------------------------------------------------------- simhash
 
-class SimHasher:
-    """64-bit SimHash over token features; state (token hash fn) per actor.
+_SIM_TOKEN_RE = re.compile(r"[a-z0-9_]+")
+
+
+def simhash(text: str, seed: int = 42) -> int:
+    """64-bit SimHash over token features.
 
     Token hash = low 8 digest bytes of md5("<seed>:" + token) read
     little-endian — exactly DuckDB's ``md5_number_lower('<seed>:' || t)``
     — and the tokenizer is ASCII ``[a-z0-9_]+`` over lowercased text
     (RE2-identical), so the full signature, and therefore the whole
     hamming-pair set, is recomputable by the SQL oracle from scratch."""
-
-    def __init__(self, seed: int = 42):
-        import re
-
-        self.tok = re.compile(r"[a-z0-9_]+")
-        self.salt = f"{seed}:".encode()
-
-    def simhash(self, text: str) -> int:
-        toks = self.tok.findall(text.lower())
-        if not toks:
-            return 0
-        hashes = np.array(
-            [int.from_bytes(hashlib.md5(self.salt + t.encode()).digest()[8:], "little") for t in set(toks)],
-            dtype=np.uint64,
-        )
-        bits = ((hashes[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
-        v = (2 * bits - 1).sum(axis=0)
-        return int(((v > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum())
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].to_numpy(),
-                "simhash": np.array([self.simhash(s) for s in batch["text"]], dtype=np.uint64).astype(np.int64),
-            }
-        )
-
-
-_SIM_HASHERS: dict[int, SimHasher] = {}
+    toks = _SIM_TOKEN_RE.findall(text.lower())
+    if not toks:
+        return 0
+    salt = f"{seed}:".encode()
+    hashes = np.array(
+        [int.from_bytes(hashlib.md5(salt + t.encode()).digest()[8:], "little") for t in set(toks)],
+        dtype=np.uint64,
+    )
+    bits = ((hashes[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
+    v = (2 * bits - 1).sum(axis=0)
+    return int(((v > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum())
 
 
 def _simhash_batch(batch: pd.DataFrame, *, seed: int = 42) -> pd.DataFrame:
-    """Task-pool form of ``SimHasher`` — the compiled tokenizer is
-    cached per worker process (same amortization as the actor's
-    ``__init__``, none of the per-execution pool spin-up)."""
-    h = _SIM_HASHERS.get(seed)
-    if h is None:
-        h = _SIM_HASHERS[seed] = SimHasher(seed)
-    return h(batch)
+    return pd.DataFrame(
+        {
+            "doc_id": batch["doc_id"].to_numpy(),
+            "simhash": np.array(
+                [simhash(s, seed) for s in batch["text"]], dtype=np.uint64
+            ).astype(np.int64),
+        }
+    )
 
 
 _SIM_POPCNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -984,7 +939,7 @@ def dedup_keep_list(ds: "ray.data.Dataset", pairs: pd.DataFrame,
     drop_ref = ray.put(set(comp.loc[comp["node"] != comp["label"], "node"].tolist()))
 
     def keep(batch: pd.DataFrame) -> pd.DataFrame:
-        drop = _cached_get(drop_ref)
+        drop = cached_get(drop_ref)
         return batch[~batch[id_col].isin(drop)][[id_col]]
 
     out = ds.map_batches(keep, batch_format="pandas").to_pandas()
@@ -1063,7 +1018,7 @@ def embedding_dup_pairs(ds: "ray.data.Dataset", threshold: float = 0.9,
     planes_ref = ray.put(planes)
 
     def bucketer(batch: pd.DataFrame, *, ref) -> pd.DataFrame:
-        planes_ = _cached_get(ref)  # broadcast once per worker process
+        planes_ = cached_get(ref)  # broadcast once per worker process
         m = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
         norms = np.linalg.norm(m, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
@@ -1104,7 +1059,7 @@ def embedding_dup_pairs(ds: "ray.data.Dataset", threshold: float = 0.9,
     def unit_vecs(batch: pa.Table, *, ref) -> pa.Table:
         import pyarrow.compute as pc
 
-        ids_ = pa.array(_cached_get(ref))  # broadcast once per worker process
+        ids_ = pa.array(cached_get(ref))  # broadcast once per worker process
         sub = batch.filter(pc.is_in(pc.cast(batch.column("vec_id"), pa.int64()), value_set=ids_))
         if sub.num_rows == 0:
             return pa.table({"vec_id": pa.array([], type=pa.int64()),

@@ -31,12 +31,11 @@ import ray.data
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
-# Per-worker-process cache for broadcast objects referenced from
-# task-pool closures.  Actor pools amortize ray.get in __init__ but pay
-# ~1 s pool spin-up per pipeline (measured; warm task workers run the
-# same stage in 0.2 s); task closures instead re-deserialize the ref
-# every task — this cache gives task pools the actor amortization.
-# (Shared home; stages/dedup.py re-exports it.)
+# Per-worker-process cache for ``ray.put`` broadcasts read by task-pool
+# map functions: without it every task re-fetches and re-deserializes
+# the ref; with it each worker process resolves a ref once (Ray reuses
+# worker processes), the amortization an actor's __init__ gave without
+# the per-stage pool spin-up.  Every broadcast-reading stage uses it.
 _REF_CACHE: dict = {}
 
 

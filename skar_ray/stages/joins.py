@@ -19,7 +19,7 @@ import pyarrow as pa
 
 import ray
 import ray.data
-from ..runtime import pool_size
+from .groups import cached_get
 
 
 def _pa_type(t) -> pa.DataType:
@@ -51,31 +51,19 @@ def broadcast_join_one_to_one(
         raise ValueError(f"right side has duplicate keys on {right_key}")
     ref = ray.put(small_df)
 
-    class Probe:
-        def __init__(self, ref, left_key, right_key, validate):
-            self.small = ray.get(ref)  # fetched once per actor
-            self.left_key = left_key
-            self.right_key = right_key
-            self.validate = validate
+    def probe(batch: pd.DataFrame) -> pd.DataFrame:
+        small = cached_get(ref)
+        merged = batch.merge(small, how="inner", left_on=left_key, right_on=right_key)
+        if validate and len(merged) != len(batch):
+            # skar's dangling-row error (schema.rs:183-197); without
+            # validate this is a plain inner semi-join probe
+            missing = set(batch[left_key]) - set(small[right_key])
+            raise ValueError(f"dangling left rows, e.g. {sorted(missing)[:5]}")
+        if left_key != right_key:
+            merged = merged.drop(columns=[right_key])
+        return merged
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            merged = batch.merge(
-                self.small, how="inner",
-                left_on=self.left_key, right_on=self.right_key,
-            )
-            if self.validate and len(merged) != len(batch):
-                # skar's dangling-row error (schema.rs:183-197); without
-                # validate this is a plain inner semi-join probe
-                missing = set(batch[self.left_key]) - set(self.small[self.right_key])
-                raise ValueError(f"dangling left rows, e.g. {sorted(missing)[:5]}")
-            if self.left_key != self.right_key:
-                merged = merged.drop(columns=[self.right_key])
-            return merged
-
-    return large.map_batches(
-        Probe, fn_constructor_args=(ref, left_key, right_key, validate),
-        batch_format="pandas", concurrency=pool_size(),
-    )
+    return large.map_batches(probe, batch_format="pandas")
 
 
 def bucket_hash_join(
@@ -252,20 +240,14 @@ def broadcast_interval_join(
         iv.drop(columns=[lo_col, hi_col]),
     ))
 
-    class Probe:
-        def __init__(self, ref):
-            self.lo, self.hi, self.meta = ray.get(ref)  # once per actor
+    def probe(batch: pd.DataFrame) -> pd.DataFrame:
+        lo, hi, meta = cached_get(ref)
+        a = batch[value_col].to_numpy()
+        v = a if a.dtype.kind in "iuf" else batch[value_col].to_numpy(dtype=np.float64)
+        mask = (v[:, None] >= lo) & (v[:, None] < hi)
+        li, ri = np.nonzero(mask)
+        left = batch.iloc[li].reset_index(drop=True)
+        right = meta.iloc[ri].reset_index(drop=True)
+        return pd.concat([left, right], axis=1)
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            a = batch[value_col].to_numpy()
-            v = a if a.dtype.kind in "iuf" else batch[value_col].to_numpy(dtype=np.float64)
-            mask = (v[:, None] >= self.lo) & (v[:, None] < self.hi)
-            li, ri = np.nonzero(mask)
-            left = batch.iloc[li].reset_index(drop=True)
-            right = self.meta.iloc[ri].reset_index(drop=True)
-            return pd.concat([left, right], axis=1)
-
-    return large.map_batches(
-        Probe, fn_constructor_args=(ref,), batch_format="pandas",
-        concurrency=pool_size(),
-    )
+    return large.map_batches(probe, batch_format="pandas")

@@ -3,9 +3,10 @@
 Image/audio/video payloads are opaque ``large_binary`` columns with a
 metadata struct alongside (the reference stores all hashes/blobs as
 plain Binary columns too, /root/reference/skar/src/schema.rs:12-26).
-Decode / feature-extract / resize / frame-sample are **actor-pool**
-``map_batches`` stages: library handles load once per actor in
-``__init__``.
+Decode / feature-extract / resize / frame-sample are plain
+``map_batches`` functions on the task pool; parameters arrive through
+``fn_kwargs`` and the optional PIL handle is probed once per process at
+import.
 
 Decode is REAL for the two formats this engine synthesizes and parses
 without external libraries: PNG metadata (IHDR width/height/color-type,
@@ -133,128 +134,110 @@ def parse_wav(payload: bytes) -> tuple[float, np.ndarray] | None:
         return None
 
 
-class ImageDecoder:
-    """Actor: decode image bytes → (width, height, mode, n_pixels).
+try:  # pragma: no cover - PIL is an optional dependency
+    from PIL import Image as _PIL
+except ImportError:
+    _PIL = None
+
+
+def _decode_image(payload: bytes) -> tuple[int, int, str]:
+    if _PIL is not None:  # pragma: no cover - PIL is optional
+        with _PIL.open(io.BytesIO(payload)) as im:
+            return im.width, im.height, im.mode
+    meta = parse_png(payload)  # real header decode, library-free
+    if meta is not None:
+        return meta
+    w, h = _fake_dims(payload)
+    return w, h, "STUB"
+
+
+def decode_images(batch: pa.Table) -> pa.Table:
+    """Decode image bytes → (width, height, mode, n_pixels).
 
     Real decode via PIL when available; deterministic fake otherwise.
     Use small ``batch_size`` (e.g. 64): payloads are large binaries and
     batch_bytes = batch_size × payload must fit the worker heap.
     """
-
-    def __init__(self):
-        try:  # pragma: no cover - PIL absent in this container
-            from PIL import Image  # noqa: F401
-
-            self._pil = Image
-        except ImportError:
-            self._pil = None
-
-    def _decode(self, payload: bytes) -> tuple[int, int, str]:
-        if self._pil is not None:  # pragma: no cover - PIL absent here
-            with self._pil.open(io.BytesIO(payload)) as im:
-                return im.width, im.height, im.mode
-        meta = parse_png(payload)  # real header decode, library-free
-        if meta is not None:
-            return meta
-        w, h = _fake_dims(payload)
-        return w, h, "STUB"
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ws, hs, modes = [], [], []
-        for v in batch.column("payload"):
-            w, h, m = self._decode(v.as_py())
-            ws.append(w)
-            hs.append(h)
-            modes.append(m)
-        return pa.table(
-            {
-                "media_id": batch.column("media_id"),
-                "width": pa.array(ws, type=pa.int64()),
-                "height": pa.array(hs, type=pa.int64()),
-                "mode": pa.array(modes),
-                "n_pixels": pa.array([w * h for w, h in zip(ws, hs)], type=pa.int64()),
-            }
-        )
+    ws, hs, modes = [], [], []
+    for v in batch.column("payload"):
+        w, h, m = _decode_image(v.as_py())
+        ws.append(w)
+        hs.append(h)
+        modes.append(m)
+    return pa.table(
+        {
+            "media_id": batch.column("media_id"),
+            "width": pa.array(ws, type=pa.int64()),
+            "height": pa.array(hs, type=pa.int64()),
+            "mode": pa.array(modes),
+            "n_pixels": pa.array([w * h for w, h in zip(ws, hs)], type=pa.int64()),
+        }
+    )
 
 
-class ImageResizer:
-    """Actor: resize stub — emits target dims + a deterministic digest of
+def resize_images(batch: pa.Table, width: int = 224, height: int = 224) -> pa.Table:
+    """Resize stub — emits target dims + a deterministic digest of
     what the resized payload WOULD be (real resize when PIL exists)."""
-
-    def __init__(self, width: int = 224, height: int = 224):
-        self.width = width
-        self.height = height
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        digests = [
-            hashlib.blake2b(v.as_py() + f"{self.width}x{self.height}".encode(), digest_size=16).hexdigest()
-            for v in batch.column("payload")
-        ]
-        n = batch.num_rows
-        return pa.table(
-            {
-                "media_id": batch.column("media_id"),
-                "width": pa.array([self.width] * n, type=pa.int64()),
-                "height": pa.array([self.height] * n, type=pa.int64()),
-                "resized_digest": pa.array(digests),
-            }
-        )
+    digests = [
+        hashlib.blake2b(v.as_py() + f"{width}x{height}".encode(), digest_size=16).hexdigest()
+        for v in batch.column("payload")
+    ]
+    n = batch.num_rows
+    return pa.table(
+        {
+            "media_id": batch.column("media_id"),
+            "width": pa.array([width] * n, type=pa.int64()),
+            "height": pa.array([height] * n, type=pa.int64()),
+            "resized_digest": pa.array(digests),
+        }
+    )
 
 
-class FrameSampler:
-    """Actor: sample N 'frames' per video payload (flat_map-shaped:
-    one input row → N output rows). Frame content is stubbed as slices
-    of the payload; offsets are the real plumbing being exercised."""
-
-    def __init__(self, n_frames: int = 4):
-        self.n_frames = n_frames
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, frame_idx, offsets, frames = [], [], [], []
-        for mid, v in zip(batch.column("media_id"), batch.column("payload")):
-            payload = v.as_py()
-            step = max(1, len(payload) // self.n_frames)
-            for i in range(self.n_frames):
-                ids.append(mid.as_py())
-                frame_idx.append(i)
-                offsets.append(i * step)
-                frames.append(payload[i * step : i * step + 64])
-        return pa.table(
-            {
-                "media_id": pa.array(ids, type=pa.int64()),
-                "frame": pa.array(frame_idx, type=pa.int64()),
-                "byte_offset": pa.array(offsets, type=pa.int64()),
-                "frame_bytes": pa.array(frames, type=pa.large_binary()),
-            }
-        )
+def sample_frames(batch: pa.Table, n_frames: int = 4) -> pa.Table:
+    """Sample N 'frames' per video payload (flat_map-shaped: one input
+    row → N output rows). Frame content is stubbed as slices of the
+    payload; offsets are the real plumbing being exercised."""
+    ids, frame_idx, offsets, frames = [], [], [], []
+    for mid, v in zip(batch.column("media_id"), batch.column("payload")):
+        payload = v.as_py()
+        step = max(1, len(payload) // n_frames)
+        for i in range(n_frames):
+            ids.append(mid.as_py())
+            frame_idx.append(i)
+            offsets.append(i * step)
+            frames.append(payload[i * step : i * step + 64])
+    return pa.table(
+        {
+            "media_id": pa.array(ids, type=pa.int64()),
+            "frame": pa.array(frame_idx, type=pa.int64()),
+            "byte_offset": pa.array(offsets, type=pa.int64()),
+            "frame_bytes": pa.array(frames, type=pa.large_binary()),
+        }
+    )
 
 
-class AudioFeatures:
-    """Actor: audio feature stub — deterministic 'duration' + energy
-    histogram from payload bytes (librosa path gated off)."""
-
-    def __init__(self, sample_rate: int = 16000):
-        self.sample_rate = sample_rate
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        durs, energies = [], []
-        for v in batch.column("payload"):
-            p = v.as_py()
-            parsed = parse_wav(p)  # real WAV decode (stdlib wave)
-            if parsed is not None:
-                dur, a = parsed
-            else:  # raw-bytes fallback: int16 mono assumption
-                dur = len(p) / (2 * self.sample_rate)
-                a = np.frombuffer(p[: len(p) - len(p) % 2], dtype=np.int16)
-            durs.append(dur)
-            energies.append(float(np.sqrt(np.mean(a.astype(np.float64) ** 2))) if len(a) else 0.0)
-        return pa.table(
-            {
-                "media_id": batch.column("media_id"),
-                "duration_s": pa.array(durs, type=pa.float64()),
-                "rms_energy": pa.array(energies, type=pa.float64()),
-            }
-        )
+def audio_features(batch: pa.Table, sample_rate: int = 16000) -> pa.Table:
+    """Audio features — duration + RMS energy from a real WAV decode,
+    or from the raw bytes read as int16 mono at ``sample_rate`` when
+    the payload is not a WAV (librosa path gated off)."""
+    durs, energies = [], []
+    for v in batch.column("payload"):
+        p = v.as_py()
+        parsed = parse_wav(p)  # real WAV decode (stdlib wave)
+        if parsed is not None:
+            dur, a = parsed
+        else:  # raw-bytes fallback: int16 mono assumption
+            dur = len(p) / (2 * sample_rate)
+            a = np.frombuffer(p[: len(p) - len(p) % 2], dtype=np.int16)
+        durs.append(dur)
+        energies.append(float(np.sqrt(np.mean(a.astype(np.float64) ** 2))) if len(a) else 0.0)
+    return pa.table(
+        {
+            "media_id": batch.column("media_id"),
+            "duration_s": pa.array(durs, type=pa.float64()),
+            "rms_energy": pa.array(energies, type=pa.float64()),
+        }
+    )
 
 
 def media_dataset_from_documents(sf_dir: str):

@@ -1,9 +1,10 @@
 """Text-analysis stages for training-data pipelines over `documents`.
 
-All stages are vectorised ``map_batches`` transforms (compiled regexes
-and lookup tables built once per actor in ``__init__`` — the stateful
-actor-pool pattern, analog of the reference holding parsed schemas and
-hash sets per query, /root/reference/skar/src/query/execution/mod.rs:86-95).
+All stages are vectorised ``map_batches`` functions on Ray Data's task
+pool: compiled regexes and lookup tables are module constants, built
+once per worker process at import, and broadcast sets are read through
+``groups.cached_get`` (analog of the reference holding parsed schemas
+and hash sets per query, skar/src/query/execution/mod.rs:86-95).
 
 Ops: token counting, quality scoring, md5/rolling-hash fingerprinting,
 n-gram language identification.  The SQL-expressible ones are written
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import unicodedata
 
 import numpy as np
 import pandas as pd
@@ -38,101 +40,85 @@ _BPE_RE = re.compile(_BPE_PATTERN)
 
 # tiny per-language stopword profiles for the n-gram/stopword heuristic
 _LANG_PROFILES = {
-    "en": {"the", "and", "of", "to", "a", "in", "is", "it", "that", "for"},
-    "de": {"der", "die", "das", "und", "ist", "nicht", "ein", "mit", "auf", "zu"},
-    "fr": {"le", "la", "les", "et", "est", "pas", "un", "une", "des", "dans"},
-    "es": {"el", "la", "los", "y", "es", "no", "un", "una", "que", "en"},
-    "code": {"def", "return", "import", "fn", "let", "func", "var", "const", "class", "pub"},
+    "en": frozenset({"the", "and", "of", "to", "a", "in", "is", "it", "that", "for"}),
+    "de": frozenset({"der", "die", "das", "und", "ist", "nicht", "ein", "mit", "auf", "zu"}),
+    "fr": frozenset({"le", "la", "les", "et", "est", "pas", "un", "une", "des", "dans"}),
+    "es": frozenset({"el", "la", "los", "y", "es", "no", "un", "una", "que", "en"}),
+    "code": frozenset({"def", "return", "import", "fn", "let", "func", "var", "const", "class", "pub"}),
 }
+_LANG_TOKEN_RE = re.compile(r"[A-Za-zäöüéèáíóúñ]+")
+
+# Rabin-Karp rolling fingerprint parameters (see fingerprints)
+_FP_BASE = np.uint64(1000003)
+_FP_WINDOW = 16
 
 
-class TokenCounter:
+def token_counts(batch: pd.DataFrame) -> pd.DataFrame:
     """doc_id, n_tokens — tokens are maximal non-whitespace runs,
     matching DuckDB ``len(regexp_extract_all(text, '\\S+'))``."""
-
-    def __init__(self):
-        self.pat = _TOKEN_RE
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        # str.count with the same compiled pattern: identical match
-        # semantics to findall-len without materializing match lists
-        n = batch["text"].str.count(self.pat)
-        return pd.DataFrame({"doc_id": batch["doc_id"], "n_tokens": n.astype("int64")})
+    # str.count with the same compiled pattern: identical match
+    # semantics to findall-len without materializing match lists
+    n = batch["text"].str.count(_TOKEN_RE)
+    return pd.DataFrame({"doc_id": batch["doc_id"], "n_tokens": n.astype("int64")})
 
 
-class BPETokenCounter:
+def bpe_token_counts(batch: pd.DataFrame) -> pd.DataFrame:
     """doc_id, n_bpe_tokens — BPE-ish pre-tokenization count: the cost
     model for token-budgeted corpus curation (a real BPE merge table
     only subdivides these pieces, so this upper-bounds and tracks the
     true token count).  Same compiled-pattern ``str.count`` trick as
-    TokenCounter; the DuckDB oracle runs the identical pattern."""
-
-    def __init__(self):
-        self.pat = _BPE_RE
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        n = batch["text"].str.count(self.pat)
-        return pd.DataFrame({"doc_id": batch["doc_id"], "n_bpe_tokens": n.astype("int64")})
+    ``token_counts``; the DuckDB oracle runs the identical pattern."""
+    n = batch["text"].str.count(_BPE_RE)
+    return pd.DataFrame({"doc_id": batch["doc_id"], "n_bpe_tokens": n.astype("int64")})
 
 
-class QualityScorer:
+def quality_scores(batch: pd.DataFrame) -> pd.DataFrame:
     """Length / character-class ratios — each component reproduced
     bit-identically by the SQL oracle (integer counts divided as doubles)."""
-
-    def __init__(self):
-        self.tok = _TOKEN_RE
-        self.alpha = _ALPHA_RE
-        self.digit = _DIGIT_RE
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        texts = batch["text"]
-        n_chars = texts.str.len().astype("int64")
-        n_tokens = texts.str.count(self.tok).astype("int64")
-        n_alpha = texts.str.count(self.alpha).astype("int64")
-        n_digit = texts.str.count(self.digit).astype("int64")
-        denom = n_chars.replace(0, 1).astype("float64")
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"],
-                "n_chars_calc": n_chars,
-                "n_tokens": n_tokens,
-                "alpha_ratio": n_alpha / denom,
-                "digit_ratio": n_digit / denom,
-            }
-        )
+    texts = batch["text"]
+    n_chars = texts.str.len().astype("int64")
+    n_tokens = texts.str.count(_TOKEN_RE).astype("int64")
+    n_alpha = texts.str.count(_ALPHA_RE).astype("int64")
+    n_digit = texts.str.count(_DIGIT_RE).astype("int64")
+    denom = n_chars.replace(0, 1).astype("float64")
+    return pd.DataFrame(
+        {
+            "doc_id": batch["doc_id"],
+            "n_chars_calc": n_chars,
+            "n_tokens": n_tokens,
+            "alpha_ratio": n_alpha / denom,
+            "digit_ratio": n_digit / denom,
+        }
+    )
 
 
-class Fingerprinter:
+def fingerprints(batch: pd.DataFrame) -> pd.DataFrame:
     """md5 fingerprint (SQL-checkable via DuckDB md5()) + a 64-bit
     Rabin-Karp rolling-hash document fingerprint: min over all 16-code-
     point window polynomial hashes (base 1000003, mod 2^64, masked to 63
     bits), shift-resistant.  Operates on Unicode CODE POINTS so the
     DuckDB oracle can recompute it exactly with unicode(substr(...)) +
     HUGEINT modular arithmetic (see pipelines/registry.py)."""
+    md5s = batch["text"].map(lambda s: hashlib.md5(s.encode()).hexdigest())
+    rolls = batch["text"].map(_rolling_min)
+    return pd.DataFrame(
+        {"doc_id": batch["doc_id"], "md5": md5s, "rolling_fp": rolls.astype("int64")}
+    )
 
-    BASE = np.uint64(1000003)
-    WINDOW = 16
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        md5s = batch["text"].map(lambda s: hashlib.md5(s.encode()).hexdigest())
-        rolls = batch["text"].map(self._rolling_min)
-        return pd.DataFrame(
-            {"doc_id": batch["doc_id"], "md5": md5s, "rolling_fp": rolls.astype("int64")}
-        )
-
-    def _rolling_min(self, s: str) -> int:
-        cp = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
-        n = len(cp)
-        if n == 0:
-            return 0
-        # one vectorised path for both regimes: a string shorter than the
-        # window is a single window (the polynomial sum IS the Horner
-        # fold mod 2^64)
-        w = min(n, self.WINDOW)
-        powers = self.BASE ** np.arange(w - 1, -1, -1, dtype=np.uint64)
-        win = np.lib.stride_tricks.sliding_window_view(cp, w)
-        hashes = (win * powers).sum(axis=1, dtype=np.uint64)
-        return int(hashes.min() & np.uint64(0x7FFFFFFFFFFFFFFF))
+def _rolling_min(s: str) -> int:
+    cp = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
+    n = len(cp)
+    if n == 0:
+        return 0
+    # one vectorised path for both regimes: a string shorter than the
+    # window is a single window (the polynomial sum IS the Horner
+    # fold mod 2^64)
+    w = min(n, _FP_WINDOW)
+    powers = _FP_BASE ** np.arange(w - 1, -1, -1, dtype=np.uint64)
+    win = np.lib.stride_tricks.sliding_window_view(cp, w)
+    hashes = (win * powers).sum(axis=1, dtype=np.uint64)
+    return int(hashes.min() & np.uint64(0x7FFFFFFFFFFFFFFF))
 
 
 def kgram_positions(texts: pd.Series, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +157,7 @@ def kgram_positions(texts: pd.Series, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[valid], grams[valid]
 
 
-class RepetitionStats:
+def repetition_stats(batch: pd.DataFrame) -> pd.DataFrame:
     """Gopher-style repetition signals (Rae et al. 2021, public): per
     doc the duplicate-line and top-bigram concentrations that gate
     boilerplate/spam out of training corpora.  Integer counts only so
@@ -180,54 +166,46 @@ class RepetitionStats:
     top_bigram_count/n_bigrams) are derived downstream.  Fully
     vectorised: pandas explode + groupby for lines, ``kgram_positions``
     for bigrams.  Embarrassingly parallel — no shuffle at any scale."""
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.reset_index(drop=True)
-        texts = b["text"]
-        lines = texts.str.split("\n").explode()
-        g = lines.groupby(level=0)
-        n_lines = g.size().reindex(b.index, fill_value=0)
-        n_distinct = g.nunique().reindex(b.index, fill_value=0)
-        pos, grams = kgram_positions(texts, 2)
-        if len(pos):
-            bg = pd.DataFrame({"d": pos, "g": grams})
-            counts = bg.groupby(["d", "g"], sort=False).size()
-            top = counts.groupby(level=0).max().reindex(b.index, fill_value=0)
-            n_big = bg.groupby("d").size().reindex(b.index, fill_value=0)
-        else:
-            top = pd.Series(0, index=b.index)
-            n_big = pd.Series(0, index=b.index)
-        return pd.DataFrame(
-            {
-                "doc_id": b["doc_id"],
-                "n_lines": n_lines.astype("int64"),
-                "n_distinct_lines": n_distinct.astype("int64"),
-                "n_bigrams": n_big.astype("int64"),
-                "top_bigram_count": top.astype("int64"),
-            }
-        )
+    b = batch.reset_index(drop=True)
+    texts = b["text"]
+    lines = texts.str.split("\n").explode()
+    g = lines.groupby(level=0)
+    n_lines = g.size().reindex(b.index, fill_value=0)
+    n_distinct = g.nunique().reindex(b.index, fill_value=0)
+    pos, grams = kgram_positions(texts, 2)
+    if len(pos):
+        bg = pd.DataFrame({"d": pos, "g": grams})
+        counts = bg.groupby(["d", "g"], sort=False).size()
+        top = counts.groupby(level=0).max().reindex(b.index, fill_value=0)
+        n_big = bg.groupby("d").size().reindex(b.index, fill_value=0)
+    else:
+        top = pd.Series(0, index=b.index)
+        n_big = pd.Series(0, index=b.index)
+    return pd.DataFrame(
+        {
+            "doc_id": b["doc_id"],
+            "n_lines": n_lines.astype("int64"),
+            "n_distinct_lines": n_distinct.astype("int64"),
+            "n_bigrams": n_big.astype("int64"),
+            "top_bigram_count": top.astype("int64"),
+        }
+    )
 
 
-class LangId:
+def lang_id(batch: pd.DataFrame) -> pd.DataFrame:
     """Stopword-profile language/flavor guess (heuristic, rows-only check)."""
-
-    def __init__(self):
-        self.tok = re.compile(r"[A-Za-zäöüéèáíóúñ]+")
-        self.profiles = {k: frozenset(v) for k, v in _LANG_PROFILES.items()}
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        preds = []
-        for s in batch["text"]:
-            toks = [t.lower() for t in self.tok.findall(s)[:200]]
-            if not toks:
-                preds.append("unknown")
-                continue
-            scores = {
-                lang: sum(t in prof for t in toks) for lang, prof in self.profiles.items()
-            }
-            best = max(sorted(scores), key=lambda k: scores[k])
-            preds.append(best if scores[best] > 0 else "unknown")
-        return pd.DataFrame({"doc_id": batch["doc_id"], "lang_pred": preds})
+    preds = []
+    for s in batch["text"]:
+        toks = [t.lower() for t in _LANG_TOKEN_RE.findall(s)[:200]]
+        if not toks:
+            preds.append("unknown")
+            continue
+        scores = {
+            lang: sum(t in prof for t in toks) for lang, prof in _LANG_PROFILES.items()
+        }
+        best = max(sorted(scores), key=lambda k: scores[k])
+        preds.append(best if scores[best] > 0 else "unknown")
+    return pd.DataFrame({"doc_id": batch["doc_id"], "lang_pred": preds})
 
 
 def postings_batch(batch: pd.DataFrame) -> pd.DataFrame:
@@ -300,7 +278,7 @@ def length_quantile_stats(ds: "ray.data.Dataset") -> pd.DataFrame:
     ).sort_values("lang").reset_index(drop=True).astype({"n": "int64"})
 
 
-class Chunker:
+def chunk_texts(batch: pd.DataFrame, size: int = 128, overlap: int = 32) -> pd.DataFrame:
     """Overlapping fixed-size character chunks — the context-window
     chunking step a training pipeline runs before tokenization.  One
     input row fans out to ceil(n_chars / stride) rows, so this is the
@@ -311,46 +289,41 @@ class Chunker:
     DuckDB ``substring``/``length`` semantics in the oracle.  Reference
     analog: the fixed-row-count chunk slicing of the write path,
     /root/reference/skar/src/write_parquet.rs:118-156."""
-
-    def __init__(self, size: int = 128, overlap: int = 32):
-        if not 0 <= overlap < size:
-            raise ValueError("need 0 <= overlap < size")
-        self.size = size
-        self.stride = size - overlap
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        texts = batch["text"].reset_index(drop=True)
-        ids = batch["doc_id"].reset_index(drop=True).astype("int64")
-        n = texts.str.len().to_numpy(dtype=np.int64)
-        outs = []
-        start, i = 0, 0
-        while True:
-            m = n > start
-            if not m.any():
-                break
-            outs.append(
-                pd.DataFrame(
-                    {
-                        "doc_id": ids[m],
-                        "chunk_id": np.int64(i),
-                        "chunk_text": texts[m].str.slice(start, start + self.size),
-                    }
-                )
-            )
-            start += self.stride
-            i += 1
-        if not outs:
-            return pd.DataFrame(
+    if not 0 <= overlap < size:
+        raise ValueError("need 0 <= overlap < size")
+    stride = size - overlap
+    texts = batch["text"].reset_index(drop=True)
+    ids = batch["doc_id"].reset_index(drop=True).astype("int64")
+    n = texts.str.len().to_numpy(dtype=np.int64)
+    outs = []
+    start, i = 0, 0
+    while True:
+        m = n > start
+        if not m.any():
+            break
+        outs.append(
+            pd.DataFrame(
                 {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "chunk_id": pd.Series([], dtype="int64"),
-                    "chunk_text": pd.Series([], dtype="object"),
-                    "n_chunk_chars": pd.Series([], dtype="int64"),
+                    "doc_id": ids[m],
+                    "chunk_id": np.int64(i),
+                    "chunk_text": texts[m].str.slice(start, start + size),
                 }
             )
-        out = pd.concat(outs, ignore_index=True)
-        out["n_chunk_chars"] = out["chunk_text"].str.len().astype("int64")
-        return out
+        )
+        start += stride
+        i += 1
+    if not outs:
+        return pd.DataFrame(
+            {
+                "doc_id": pd.Series([], dtype="int64"),
+                "chunk_id": pd.Series([], dtype="int64"),
+                "chunk_text": pd.Series([], dtype="object"),
+                "n_chunk_chars": pd.Series([], dtype="int64"),
+            }
+        )
+    out = pd.concat(outs, ignore_index=True)
+    out["n_chunk_chars"] = out["chunk_text"].str.len().astype("int64")
+    return out
 
 
 def heavy_hitters(
@@ -375,6 +348,8 @@ def heavy_hitters(
     Reference analog: the distinct-value-set index build that feeds
     query pruning, /root/reference/skar/src/build_parquet_idx.rs:89-166."""
     import ray
+
+    from .groups import cached_get
 
     if k is None:
         k = max(64, 2 * ((frac_den + frac_num - 1) // frac_num))
@@ -412,28 +387,17 @@ def heavy_hitters(
         )
     est = parts.loc[~sent].groupby("token")["est"].sum()
     cand = est[est >= threshold - err]
-    cand_set = ray.put(set(cand.index))
+    cand_ref = ray.put(set(cand.index))
 
-    class Recount:
-        def __init__(self, ref):
-            self.cand = ray.get(ref)  # fetched once per worker
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            ex = batch["text"].str.findall(_TOKEN_RE).explode().dropna()
-            vc = ex[ex.isin(self.cand)].value_counts()
-            return pd.DataFrame(
-                {"token": vc.index.to_numpy(dtype=object), "n": vc.to_numpy(np.int64)}
-            )
-
-    from ..runtime import pool_size
+    def recount(batch: pd.DataFrame) -> pd.DataFrame:
+        ex = batch["text"].str.findall(_TOKEN_RE).explode().dropna()
+        vc = ex[ex.isin(cached_get(cand_ref))].value_counts()
+        return pd.DataFrame(
+            {"token": vc.index.to_numpy(dtype=object), "n": vc.to_numpy(np.int64)}
+        )
 
     exact = (
-        ds.map_batches(
-            Recount,
-            fn_constructor_args=(cand_set,),
-            batch_format="pandas",
-            concurrency=pool_size(),
-        )
+        ds.map_batches(recount, batch_format="pandas")
         .to_pandas()
         .groupby("token", as_index=False)["n"]
         .sum()
@@ -537,8 +501,6 @@ def _frequent_items(
     cand_ref = ray.put(cand)
 
     def candidate_count(batch: pd.DataFrame) -> pd.DataFrame:
-        # task pool + per-process broadcast cache (the actor-pool spin-up
-        # costs ~1 s/stage; warm task workers amortize identically)
         cand_ = cached_get(cand_ref)
         d = extract(batch)
         h = _line_hashes(d["item"].to_numpy(object))
@@ -634,6 +596,8 @@ def dup_span_stats(
     gram or a row change)."""
     import ray
 
+    from .groups import cached_get
+
     def extract(batch: pd.DataFrame) -> pd.DataFrame:
         rows, grams = kgram_positions(batch[text_col], k)
         return pd.DataFrame({"row": rows, "item": grams}).drop_duplicates()
@@ -641,49 +605,37 @@ def dup_span_stats(
     dup = _frequent_items(ds, extract, min_docs)
     dup_ref = ray.put(frozenset(dup["item"]))
 
-    class SpanStats:
-        def __init__(self, ref, col, idc, kk):
-            self.dup = ray.get(ref)  # broadcast: fetched once per actor
-            self.col = col
-            self.idc = idc
-            self.k = kk
+    def span_stats(batch: pd.DataFrame) -> pd.DataFrame:
+        b = batch.reset_index(drop=True)
+        rows, grams = kgram_positions(b[text_col], k)
+        n = len(b)
+        zeros = np.zeros(n, dtype=np.int64)
+        n_grams = np.bincount(rows, minlength=n).astype(np.int64) if len(rows) else zeros
+        max_run = zeros.copy()
+        n_dup = zeros.copy()
+        if len(grams):
+            m = pd.Series(grams).isin(cached_get(dup_ref)).to_numpy()
+            if m.any():
+                n_dup = np.bincount(rows[m], minlength=n).astype(np.int64)
+                brk_prev = np.r_[True, (~m[:-1]) | (rows[1:] != rows[:-1])]
+                brk_next = np.r_[(~m[1:]) | (rows[1:] != rows[:-1]), True]
+                starts = np.flatnonzero(m & brk_prev)
+                ends = np.flatnonzero(m & brk_next)
+                runs = (
+                    pd.DataFrame({"row": rows[starts], "L": ends - starts + 1})
+                    .groupby("row")["L"].max()
+                )
+                max_run[runs.index.to_numpy()] = runs.to_numpy()
+        return pd.DataFrame(
+            {
+                id_col: b[id_col].to_numpy(),
+                "n_grams": n_grams,
+                "n_dup_grams": n_dup,
+                "max_dup_run": max_run,
+            }
+        )
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            b = batch.reset_index(drop=True)
-            rows, grams = kgram_positions(b[self.col], self.k)
-            n = len(b)
-            zeros = np.zeros(n, dtype=np.int64)
-            n_grams = np.bincount(rows, minlength=n).astype(np.int64) if len(rows) else zeros
-            max_run = zeros.copy()
-            n_dup = zeros.copy()
-            if len(grams):
-                m = pd.Series(grams).isin(self.dup).to_numpy()
-                if m.any():
-                    n_dup = np.bincount(rows[m], minlength=n).astype(np.int64)
-                    brk_prev = np.r_[True, (~m[:-1]) | (rows[1:] != rows[:-1])]
-                    brk_next = np.r_[(~m[1:]) | (rows[1:] != rows[:-1]), True]
-                    starts = np.flatnonzero(m & brk_prev)
-                    ends = np.flatnonzero(m & brk_next)
-                    runs = (
-                        pd.DataFrame({"row": rows[starts], "L": ends - starts + 1})
-                        .groupby("row")["L"].max()
-                    )
-                    max_run[runs.index.to_numpy()] = runs.to_numpy()
-            return pd.DataFrame(
-                {
-                    self.idc: b[self.idc].to_numpy(),
-                    "n_grams": n_grams,
-                    "n_dup_grams": n_dup,
-                    "max_dup_run": max_run,
-                }
-            )
-
-    from ..runtime import pool_size
-
-    out = ds.map_batches(
-        SpanStats, fn_constructor_args=(dup_ref, text_col, id_col, k),
-        batch_format="pandas", concurrency=pool_size(),
-    ).to_pandas()
+    out = ds.map_batches(span_stats, batch_format="pandas").to_pandas()
     return out.sort_values(id_col).reset_index(drop=True)
 
 
@@ -702,7 +654,7 @@ _EMAIL_RE = re.compile(_EMAIL_PATTERN)
 _IPV4_RE = re.compile(_IPV4_PATTERN, re.ASCII)
 
 
-class PiiScrubber:
+def pii_scrub(batch: pd.DataFrame) -> pd.DataFrame:
     """doc_id, n_emails, n_ips, clean_md5 — redact email addresses then
     IPv4 literals from ``text``.  Order matters: an IP-looking quad
     inside an email's domain (``u@x1.2.3.4u.org``) is consumed by the
@@ -710,25 +662,19 @@ class PiiScrubber:
     the string it is replaced IN makes the two-engine comparison exact.
     Vectorised: one compiled-regex ``str.count`` + ``str.replace`` per
     pattern, no Python row loop."""
-
-    def __init__(self):
-        self.email = _EMAIL_RE
-        self.ip = _IPV4_RE
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        t = batch["text"].fillna("")  # null text scrubs as ''
-        n_emails = t.str.count(self.email).astype("int64")
-        t1 = t.str.replace(self.email, "<EMAIL>", regex=True)
-        n_ips = t1.str.count(self.ip).astype("int64")
-        t2 = t1.str.replace(self.ip, "<IP>", regex=True)
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].to_numpy(),
-                "n_emails": n_emails.to_numpy(),
-                "n_ips": n_ips.to_numpy(),
-                "clean_md5": t2.map(lambda s: hashlib.md5(s.encode()).hexdigest()),
-            }
-        )
+    t = batch["text"].fillna("")  # null text scrubs as ''
+    n_emails = t.str.count(_EMAIL_RE).astype("int64")
+    t1 = t.str.replace(_EMAIL_RE, "<EMAIL>", regex=True)
+    n_ips = t1.str.count(_IPV4_RE).astype("int64")
+    t2 = t1.str.replace(_IPV4_RE, "<IP>", regex=True)
+    return pd.DataFrame(
+        {
+            "doc_id": batch["doc_id"].to_numpy(),
+            "n_emails": n_emails.to_numpy(),
+            "n_ips": n_ips.to_numpy(),
+            "clean_md5": t2.map(lambda s: hashlib.md5(s.encode()).hexdigest()),
+        }
+    )
 
 
 # URL / domain extraction — provenance statistics (which hosts feed the
@@ -745,19 +691,24 @@ def url_domain_stats(ds: "ray.data.Dataset", text_col: str = "text",
     documents per domain.  Per-batch partials (each document lives in
     exactly one batch row, so a per-batch ``nunique`` sums to the exact
     global distinct-doc count — the same disjointness argument as
-    label_confusion's partial counts); the exchange carries only
-    domain-cardinality rows.  Returns sorted by domain."""
+    label_confusion's partial counts); the partials are summed through
+    ``groups.bucketed_sum``, so the exchange carries only
+    domain-cardinality rows and the driver collects only the final
+    per-domain table.  Returns sorted by domain."""
+    from .groups import bucketed_sum
+
+    empty = pd.DataFrame(
+        {"domain": pd.Series([], dtype="object"),
+         "n": pd.Series([], dtype="int64"),
+         "n_docs": pd.Series([], dtype="int64")}
+    )
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch.reset_index(drop=True)
         urls = b[text_col].str.findall(_URL_RE)
         ex = urls.explode().dropna()
         if not len(ex):
-            return pd.DataFrame(
-                {"domain": pd.Series([], dtype="object"),
-                 "n": pd.Series([], dtype="int64"),
-                 "n_docs": pd.Series([], dtype="int64")}
-            )
+            return empty
         # fillna(""): a URL with no extractable domain (https:///x)
         # groups under '' like DuckDB regexp_extract, instead of being
         # silently dropped by groupby's default dropna
@@ -769,14 +720,11 @@ def url_domain_stats(ds: "ray.data.Dataset", text_col: str = "text",
         )
         return out.astype({"n": "int64", "n_docs": "int64"})
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    if not len(parts):
-        return pd.DataFrame(
-            {"domain": pd.Series([], dtype="object"),
-             "n": pd.Series([], dtype="int64"),
-             "n_docs": pd.Series([], dtype="int64")}
-        )
-    out = parts.groupby("domain", as_index=False).sum()
+    out = bucketed_sum(
+        ds.map_batches(partial, batch_format="pandas"), ["domain"], ["n", "n_docs"]
+    ).to_pandas()
+    if not len(out):
+        return empty.copy()
     return (
         out.sort_values("domain").reset_index(drop=True)
         .astype({"n": "int64", "n_docs": "int64"})
@@ -910,24 +858,20 @@ def dedup_paragraphs(
     return ds.map_batches(rewrite, batch_format="pandas")
 
 
-class NfcNormalizer:
+def nfc_normalize(batch: pd.DataFrame) -> pd.DataFrame:
     """doc_id, nfc_md5, nfc_len, changed — Unicode NFC normalization,
     the canonical-composition cleanup (decomposed e+COMBINING ACUTE,
     compatibility singletons like ANGSTROM SIGN) run before hashing /
     dedup so byte-different spellings of the same text unify.  Python
     ``unicodedata`` and DuckDB ``nfc_normalize`` both implement Unicode
     canonical composition, so the oracle recomputes the md5 exactly."""
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        import unicodedata
-
-        t = batch["text"].fillna("")  # null text normalizes as ''
-        nfc = t.map(lambda s: unicodedata.normalize("NFC", s))
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].to_numpy(),
-                "nfc_md5": nfc.map(lambda s: hashlib.md5(s.encode()).hexdigest()),
-                "nfc_len": nfc.str.len().astype("int64"),
-                "changed": (nfc != t).astype("int64"),
-            }
-        )
+    t = batch["text"].fillna("")  # null text normalizes as ''
+    nfc = t.map(lambda s: unicodedata.normalize("NFC", s))
+    return pd.DataFrame(
+        {
+            "doc_id": batch["doc_id"].to_numpy(),
+            "nfc_md5": nfc.map(lambda s: hashlib.md5(s.encode()).hexdigest()),
+            "nfc_len": nfc.str.len().astype("int64"),
+            "changed": (nfc != t).astype("int64"),
+        }
+    )

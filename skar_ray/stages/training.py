@@ -35,8 +35,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from ..runtime import pool_size
-from .groups import bucketed_group_apply
+from .groups import bucketed_group_apply, cached_get
 from .text import _TOKEN_RE
 
 # ------------------------------------------------------------ packing
@@ -116,7 +115,7 @@ def pack_sequences(
                     "tok_start": pd.Series([], dtype="int64"),
                 }
             )
-        off = ray.get(off_ref)[(g["lang"].iloc[0], int(g["shard"].iloc[0]))]
+        off = cached_get(off_ref)[(g["lang"].iloc[0], int(g["shard"].iloc[0]))]
         g = g.sort_values("doc_id")
         n = g["n_tok"].to_numpy()
         prior = np.cumsum(n) - n + off
@@ -251,45 +250,39 @@ def unigram_commonness(ds: "ray.data.Dataset", top_k: int | None = None) -> pd.D
     freq = dict(zip(vocab["tok"], vocab["c"].astype(int)))
     ref = ray.put(freq)
 
-    class Scorer:
-        def __init__(self, ref):
-            self.freq = ray.get(ref)  # fetched once per worker
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            toks = batch["text"].str.findall(pat)
-            n_tokens = toks.str.len().astype("int64")
-            ex = toks.explode().dropna()
-            fs = pd.Series(0, index=batch.index, dtype="int64")
-            if len(ex):
-                # total scorer: tokens outside the (possibly capped)
-                # vocab contribute 0 instead of raising.  dict.get keeps
-                # the counts in python ints end-to-end — ex.map(dict)
-                # would surface misses as NaN and force the Series
-                # through float64, losing exactness past 2^53
-                mapped = ex.map(lambda t: self.freq.get(t, 0)).astype("int64")
-                # reindex keeps the sum in int64 end-to-end (Series.add
-                # with fill_value would round-trip through float64 and
-                # lose exactness past 2^53)
-                fs = (
-                    mapped.groupby(level=0)
-                    .sum()
-                    .reindex(batch.index, fill_value=0)
-                    .astype("int64")
-                )
-            denom = n_tokens.replace(0, 1)
-            return pd.DataFrame(
-                {
-                    "doc_id": batch["doc_id"].astype("int64"),
-                    "n_tokens": n_tokens,
-                    "freq_sum": fs,
-                    "commonness": fs.to_numpy() / denom.to_numpy().astype("float64"),
-                }
+    def score(batch: pd.DataFrame) -> pd.DataFrame:
+        freq_ = cached_get(ref)
+        toks = batch["text"].str.findall(pat)
+        n_tokens = toks.str.len().astype("int64")
+        ex = toks.explode().dropna()
+        fs = pd.Series(0, index=batch.index, dtype="int64")
+        if len(ex):
+            # total scorer: tokens outside the (possibly capped)
+            # vocab contribute 0 instead of raising.  dict.get keeps
+            # the counts in python ints end-to-end — ex.map(dict)
+            # would surface misses as NaN and force the Series
+            # through float64, losing exactness past 2^53
+            mapped = ex.map(lambda t: freq_.get(t, 0)).astype("int64")
+            # reindex keeps the sum in int64 end-to-end (Series.add
+            # with fill_value would round-trip through float64 and
+            # lose exactness past 2^53)
+            fs = (
+                mapped.groupby(level=0)
+                .sum()
+                .reindex(batch.index, fill_value=0)
+                .astype("int64")
             )
+        denom = n_tokens.replace(0, 1)
+        return pd.DataFrame(
+            {
+                "doc_id": batch["doc_id"].astype("int64"),
+                "n_tokens": n_tokens,
+                "freq_sum": fs,
+                "commonness": fs.to_numpy() / denom.to_numpy().astype("float64"),
+            }
+        )
 
-    out = ds.map_batches(
-        Scorer, fn_constructor_args=(ref,), batch_format="pandas",
-        concurrency=pool_size(),
-    ).to_pandas()
+    out = ds.map_batches(score, batch_format="pandas").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -348,7 +341,7 @@ def kmeans_clusters(
 
         def partial(batch: pd.DataFrame) -> pd.DataFrame:
             Q = batch_mat(batch)
-            C_ = ray.get(cref)
+            C_ = cached_get(cref)
             d2 = ((Q[:, None, :] - C_[None, :, :]) ** 2).sum(axis=2)
             a = d2.argmin(axis=1)
             js, cnts, sums = [], [], []
@@ -376,7 +369,7 @@ def kmeans_clusters(
 
     def assign(batch: pd.DataFrame) -> pd.DataFrame:
         Q = batch_mat(batch)
-        C_ = ray.get(cref)
+        C_ = cached_get(cref)
         d2 = ((Q[:, None, :] - C_[None, :, :]) ** 2).sum(axis=2)
         return pd.DataFrame(
             {

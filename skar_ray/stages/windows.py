@@ -151,17 +151,17 @@ def session_windows(ds: "ray.data.Dataset", gap_minutes: int = 60,
 
 
 class StreamingWindowState:
-    """Incremental windowed aggregation held in ACTOR state — the
+    """Incremental windowed aggregation held in object state — the
     pattern for stream-shaped references whose semantics need running
-    state (one actor per key-hash bucket, fed batches in ts order).
+    state (one instance per key-hash bucket, fed batches in ts order).
 
-    Each actor owns the keys of its bucket and maintains per-(key, day)
+    Each instance owns the keys of its bucket and maintains per-(key, day)
     running (count, min, max); ``snapshot()`` (triggered by a final
     sentinel batch or an explicit call) emits the same rows a batch
     tumbling-window computation produces — asserted in tests.
 
     Ordering assumption (stated per the streaming-workload rule): a
-    key's batches arrive in non-decreasing event time per actor; the
+    key's batches arrive in non-decreasing event time per instance; the
     aggregates used here are order-insensitive, so late data within the
     job is still correct — only snapshot timing is affected.
     """
@@ -194,10 +194,11 @@ class StreamingWindowState:
 def streaming_tumbling_counts(ds: "ray.data.Dataset", freq: str = "D",
                               n_buckets: int = 4,
                               as_dataset: bool = False) -> pd.DataFrame:
-    """Drive StreamingWindowState through an actor pool: rows are
-    bucketed by user hash (so one actor owns each key), each actor
-    consumes its batches incrementally, and the LAST emitted snapshot
-    per actor is the final window table."""
+    """Drive StreamingWindowState through ``groupby("bucket").map_groups``:
+    rows are bucketed by user hash (so one state instance owns each
+    key), each bucket's instance consumes its rows incrementally in ts
+    order, and the LAST emitted snapshot per bucket is the final window
+    table."""
 
     def bucket(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()
@@ -205,14 +206,14 @@ def streaming_tumbling_counts(ds: "ray.data.Dataset", freq: str = "D",
         return batch
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        actor = StreamingWindowState(freq)
+        state = StreamingWindowState(freq)
         # feed in ts order in several micro-batches to exercise the
         # incremental path (not one big batch)
         g = g.sort_values("ts")
         out = None
         for i in range(0, len(g), max(1, len(g) // 4)):
-            out = actor(g.iloc[i : i + max(1, len(g) // 4)])
-        return out if out is not None else actor.snapshot()
+            out = state(g.iloc[i : i + max(1, len(g) // 4)])
+        return out if out is not None else state.snapshot()
 
     out = (
         ds.map_batches(bucket, batch_format="pandas")

@@ -203,7 +203,7 @@ def test_token_counter_matches_duckdb(ray_session):
     df = pd.DataFrame(
         {"doc_id": [0, 1, 2, 3], "text": ["a b  c", "", "  lead", "tab\tsep\nnl end "]}
     )
-    got = ray.data.from_pandas(df).map_batches(text.TokenCounter, batch_format="pandas", concurrency=1).to_pandas()
+    got = ray.data.from_pandas(df).map_batches(text.token_counts, batch_format="pandas").to_pandas()
     got = got.sort_values("doc_id").reset_index(drop=True)
     want = duckdb.connect().execute(
         r"SELECT doc_id, len(regexp_extract_all(text, '\S+')) AS n_tokens FROM df ORDER BY doc_id"
@@ -212,13 +212,12 @@ def test_token_counter_matches_duckdb(ray_session):
 
 
 def test_rolling_fp_shift_invariant_window():
-    f = text.Fingerprinter()
     body = (
         "common body text here that is quite a bit longer than the window size and repeats tokens "
         * 3
     )
     df = pd.DataFrame({"doc_id": [0, 1, 2], "text": ["PREFIX " + body, body, body + " SUFFIX"]})
-    out = f(df)
+    out = text.fingerprints(df)
     # min-of-window rolling hash survives prefix/suffix shifts when the
     # minimal window lies in the shared body (it does for these fixtures)
     assert out["rolling_fp"].nunique() == 1
@@ -231,7 +230,6 @@ def test_rolling_fp_matches_naive_reference_on_unicode():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    f = text.Fingerprinter()
     B, W, M = 1000003, 16, 1 << 64
 
     def naive(s: str) -> int:
@@ -250,32 +248,32 @@ def test_rolling_fp_matches_naive_reference_on_unicode():
     @given(st.text(max_size=64))
     @settings(max_examples=200, deadline=None)
     def check(s):
-        assert f._rolling_min(s) == naive(s)
+        assert text._rolling_min(s) == naive(s)
 
     check()
 
 
 def test_simhash_token_hash_matches_duckdb_md5_number_lower():
-    """SimHasher's token hash is contractually DuckDB's
+    """simhash's token hash is contractually DuckDB's
     md5_number_lower('<seed>:' || t) — the SQL oracle rebuilds every
     signature from it, so the byte-order/slice convention is pinned."""
     import duckdb
     import hashlib
 
-    from skar_ray.stages.dedup import SimHasher
+    from skar_ray.stages.dedup import simhash
 
-    h = SimHasher(seed=42)
     con = duckdb.connect()
     for t in ["def", "return", "x1_y2", "a", "", "longer_token_here"]:
-        ours = int.from_bytes(hashlib.md5(h.salt + t.encode()).digest()[8:], "little")
+        ours = int.from_bytes(hashlib.md5(b"42:" + t.encode()).digest()[8:], "little")
         theirs = con.execute("select md5_number_lower('42:' || ?)", [t]).fetchone()[0]
         assert ours == theirs, t
+        if t:  # a one-token document's signature IS that token's hash
+            assert simhash(t, seed=42) == ours, t
 
 
 def test_lang_id_english():
-    l = text.LangId()
     df = pd.DataFrame({"doc_id": [0], "text": ["the cat and the dog ran to the house of a friend for it is warm"]})
-    assert l(df)["lang_pred"].iloc[0] == "en"
+    assert text.lang_id(df)["lang_pred"].iloc[0] == "en"
 
 
 def test_multimodal_plumbing(ray_session):
@@ -291,14 +289,14 @@ def test_multimodal_plumbing(ray_session):
         }
     )
     ds = ray.data.from_arrow(rows)
-    meta = ds.map_batches(multimodal.ImageDecoder, batch_format="pyarrow", batch_size=64, concurrency=1).to_pandas()
+    meta = ds.map_batches(multimodal.decode_images, batch_format="pyarrow", batch_size=64).to_pandas()
     assert set(meta.columns) == {"media_id", "width", "height", "mode", "n_pixels"}
     assert (meta["n_pixels"] == meta["width"] * meta["height"]).all()
     # deterministic across runs
-    meta2 = ds.map_batches(multimodal.ImageDecoder, batch_format="pyarrow", batch_size=64, concurrency=1).to_pandas()
+    meta2 = ds.map_batches(multimodal.decode_images, batch_format="pyarrow", batch_size=64).to_pandas()
     pd.testing.assert_frame_equal(meta.sort_values("media_id").reset_index(drop=True),
                                   meta2.sort_values("media_id").reset_index(drop=True))
-    frames = ds.map_batches(multimodal.FrameSampler, batch_format="pyarrow", batch_size=64, concurrency=1).to_pandas()
+    frames = ds.map_batches(multimodal.sample_frames, batch_format="pyarrow", batch_size=64).to_pandas()
     assert len(frames) == 8  # 4 frames per row
     assert frames.groupby("media_id")["frame"].apply(list).map(lambda l: l == [0, 1, 2, 3]).all()
 
@@ -316,12 +314,12 @@ def test_multimodal_resizer_and_audio(ray_session):
         }
     )
     ds = ray.data.from_arrow(rows)
-    resized = ds.map_batches(multimodal.ImageResizer, fn_constructor_kwargs=dict(width=64, height=48),
-                             batch_format="pyarrow", batch_size=64, concurrency=1).to_pandas()
+    resized = ds.map_batches(multimodal.resize_images, fn_kwargs=dict(width=64, height=48),
+                             batch_format="pyarrow", batch_size=64).to_pandas()
     assert (resized["width"] == 64).all() and (resized["height"] == 48).all()
     assert resized["resized_digest"].nunique() == 2  # deterministic per payload
-    audio = ds.map_batches(multimodal.AudioFeatures, batch_format="pyarrow",
-                           batch_size=64, concurrency=1).to_pandas()
+    audio = ds.map_batches(multimodal.audio_features, batch_format="pyarrow",
+                           batch_size=64).to_pandas()
     assert (audio["duration_s"] > 0).all()
     assert audio.loc[1, "rms_energy"] > 0
 
@@ -352,13 +350,12 @@ def test_png_wav_real_decode():
 
 
 def test_image_decoder_uses_real_png_metadata():
-    dec = multimodal.ImageDecoder()
     png = multimodal.make_png(48, 32, seed=1)
-    w, h, mode = dec._decode(png)
+    w, h, mode = multimodal._decode_image(png)
     assert (w, h) == (48, 32)
     assert mode in ("L",)  # PIL (if present) and the header parse agree on greyscale
     # non-PNG payloads still fall back deterministically
-    w2, h2, m2 = dec._decode(b"opaque-bytes")
+    w2, h2, m2 = multimodal._decode_image(b"opaque-bytes")
     assert m2 == "STUB" and (w2, h2) == multimodal._fake_dims(b"opaque-bytes")
 
 
@@ -368,10 +365,9 @@ def test_pil_branch_agrees_when_available():
     pytest.importorskip("PIL")
     from PIL import Image  # noqa: F401
 
-    dec = multimodal.ImageDecoder()
     png = multimodal.make_png(25, 19, seed=2)
-    assert dec._pil is not None
-    assert dec._decode(png)[:2] == (25, 19)
+    assert multimodal._PIL is not None
+    assert multimodal._decode_image(png)[:2] == (25, 19)
 
 
 def test_audio_features_real_wav(ray_session):
@@ -383,7 +379,7 @@ def test_audio_features_real_wav(ray_session):
     t = pa.table({"media_id": pa.array([1], type=pa.int64()),
                   "payload": pa.array([wav], type=pa.large_binary())})
     out = ray.data.from_arrow(t).map_batches(
-        multimodal.AudioFeatures, batch_format="pyarrow", concurrency=1
+        multimodal.audio_features, batch_format="pyarrow"
     ).to_pandas()
     assert abs(out["duration_s"].iloc[0] - 0.2) < 1e-9  # true frames/rate, not byte-length guess
     assert abs(out["rms_energy"].iloc[0] - 12000 / np.sqrt(2)) / 12000 < 0.02
@@ -425,7 +421,7 @@ def test_repetition_stats_hand_computed():
             ],
         }
     )
-    out = text.RepetitionStats()(df)
+    out = text.repetition_stats(df)
     assert out["n_lines"].tolist() == [3, 1, 1, 1]
     assert out["n_distinct_lines"].tolist() == [2, 1, 1, 1]
     assert out["n_bigrams"].tolist() == [4, 0, 0, 3]
@@ -440,14 +436,13 @@ def test_bpe_token_count_matches_duckdb_re2():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    c = text.BPETokenCounter()
     con = duckdb.connect()
     sql_pat = text._BPE_PATTERN.replace("'", "''")
 
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=80))
     @settings(max_examples=200, deadline=None)
     def check(s):
-        ours = int(c(pd.DataFrame({"doc_id": [0], "text": [s]}))["n_bpe_tokens"].iloc[0])
+        ours = int(text.bpe_token_counts(pd.DataFrame({"doc_id": [0], "text": [s]}))["n_bpe_tokens"].iloc[0])
         theirs = con.execute(
             f"select len(regexp_extract_all(?, '{sql_pat}'))", [s]
         ).fetchone()[0]
@@ -456,21 +451,21 @@ def test_bpe_token_count_matches_duckdb_re2():
     check()
     # the canonical shapes: contractions, mixed runs, leading spaces
     df = pd.DataFrame({"doc_id": [0, 1, 2], "text": ["I'll go, won't you?", "x=1;  y+=2", ""]})
-    assert c(df)["n_bpe_tokens"].tolist() == [
+    assert text.bpe_token_counts(df)["n_bpe_tokens"].tolist() == [
         con.execute(f"select len(regexp_extract_all(?, '{sql_pat}'))", [t]).fetchone()[0]
         for t in df["text"]
     ]
 
 
 def test_chunker_matches_bruteforce():
-    """Chunker == the obvious per-row slicing, including the edge
+    """chunk_texts == the obvious per-row slicing, including the edge
     shapes: empty text (no chunks), text exactly one chunk long, text
     ending exactly on a stride boundary, and multi-chunk overlap."""
     size, overlap = 8, 3
     stride = size - overlap
     texts = ["", "a", "x" * size, "y" * stride, "z" * (stride * 2), "abcdefghijklmnop"]
     df = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
-    got = text.Chunker(size, overlap)(df)
+    got = text.chunk_texts(df, size, overlap)
     rows = []
     for d, t in zip(df["doc_id"], df["text"]):
         s, i = 0, 0
@@ -486,7 +481,7 @@ def test_chunker_matches_bruteforce():
     two = g[g["doc_id"] == 5].reset_index(drop=True)
     assert two.loc[0, "chunk_text"][stride:] == two.loc[1, "chunk_text"][: overlap]
     with pytest.raises(ValueError):
-        text.Chunker(4, 4)
+        text.chunk_texts(df, 4, 4)
 
 
 def test_heavy_hitters_prunes_and_stays_exact(ray_session):
@@ -631,7 +626,7 @@ def test_pii_scrubber_edges(ray_session):
         "x@y (no tld) and 300.300.300.300",  # invalid email (no dot-tld); ip regex is syntactic
     ]
     df = pd.DataFrame({"doc_id": range(len(docs)), "text": docs})
-    out = text.PiiScrubber()(df)
+    out = text.pii_scrub(df)
     assert list(out["n_emails"]) == [1, 0, 0, 0, 0, 0]
     # row 5: the scrubber is syntactic (1-3 digit quads), like every
     # published PII pass — 300.300.300.300 matches
@@ -713,7 +708,7 @@ def test_nfc_normalizer_composes(ray_session):
 
     docs = ["cafe\u0301", "\u212b", "plain", ""]
     df = pd.DataFrame({"doc_id": range(4), "text": docs})
-    out = text.NfcNormalizer()(df)
+    out = text.nfc_normalize(df)
     assert list(out["changed"]) == [1, 1, 0, 0]
     assert list(out["nfc_len"]) == [4, 1, 5, 0]  # e+combining -> U+00E9
     assert out.loc[0, "nfc_md5"] == hashlib.md5("caf\u00e9".encode()).hexdigest()
@@ -734,17 +729,17 @@ def test_pii_and_nfc_are_total_on_null_text():
     documents = pd.DataFrame(
         {"doc_id": [0, 1, 2, 3], "text": ["a@b.org 1.2.3.4", None, "cafe\u0301", None]}
     )
-    pii = text.PiiScrubber()(documents)
+    pii = text.pii_scrub(documents)
     assert list(pii["n_emails"]) == [1, 0, 0, 0] and list(pii["n_ips"]) == [1, 0, 0, 0]
     assert pii.loc[1, "clean_md5"] == pii.loc[3, "clean_md5"] == hashlib.md5(b"").hexdigest()
-    nfc = text.NfcNormalizer()(documents)
+    nfc = text.nfc_normalize(documents)
     assert list(nfc["nfc_len"]) == [15, 0, 4, 0] and list(nfc["changed"]) == [0, 0, 1, 0]
     assert nfc.loc[1, "nfc_md5"] == hashlib.md5(b"").hexdigest()
     for name, inject, stage in (
-        ("pii_scrub", registry._inject_pii, text.PiiScrubber),
-        ("normalize_nfc", registry._inject_decomposed, text.NfcNormalizer),
+        ("pii_scrub", registry._inject_pii, text.pii_scrub),
+        ("normalize_nfc", registry._inject_decomposed, text.nfc_normalize),
     ):
-        got = stage()(inject(documents)).sort_values("doc_id").reset_index(drop=True)
+        got = stage(inject(documents)).sort_values("doc_id").reset_index(drop=True)
         want = duckdb.sql(registry.QUERIES[name][1]).df().sort_values("doc_id").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want[list(got.columns)], check_dtype=False)
 

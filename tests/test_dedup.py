@@ -254,11 +254,10 @@ def test_simhash_identical_clique_star():
 
 def test_simhash_multi_index_end_to_end_exhaustive(docs_ds):
     """simhash_pairs output must equal brute-force pairwise hamming
-    over the SimHasher signatures (small corpus: every bucket is small,
+    over the simhash signatures (small corpus: every bucket is small,
     so no clique-star approximation applies)."""
     df = docs_ds.to_pandas()
-    hasher = dd.SimHasher()
-    sigs = {int(r.doc_id): hasher.simhash(r.text) for r in df.itertuples()}
+    sigs = {int(r.doc_id): dd.simhash(r.text) for r in df.itertuples()}
     ids = sorted(sigs)
     want = {}
     for i, a in enumerate(ids):
