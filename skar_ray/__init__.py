@@ -20,14 +20,6 @@ per-row content sha256.
 Nothing here calls ``ray.init`` — callers own the Ray session.
 """
 
-import os
-
-# polars hashing (``stages.partitioner._hash_col``, ``stages.joins``)
-# runs inside one-CPU Ray workers that already saturate the node; its
-# default pool (all cores) would oversubscribe 32×32 threads.  Must be
-# set before polars' first import in the process.
-os.environ.setdefault("POLARS_MAX_THREADS", "1")
-
 __version__ = "0.1.0"
 
 CORPUS_SCHEMA_COLUMNS = ("repo", "path", "commit", "lang", "content")

@@ -312,9 +312,9 @@ class SymbolTable:
         if not self._multi:
             return data
         # pyarrow binary replace chain: byte patterns on binary arrays —
-        # no latin-1/UTF-8 conversion anywhere (a polars str chain was
-        # tried first and LOST at job level: code bytes >= 0x80 are
-        # 2-byte UTF-8 in its string buffers, so the working set doubles
+        # no latin-1/UTF-8 conversion anywhere (a replace chain over
+        # UTF-8 strings was tried first and LOST at job level: code bytes
+        # >= 0x80 are 2-byte UTF-8 in string buffers, so the working set doubles
         # as encoding progresses — 1.3× faster single-core, 1.5× slower
         # at 32 workers).  The chain runs start-to-finish within each
         # ~256 KiB group of pieces so the working set stays

@@ -112,7 +112,7 @@ def run_append_job(
 
     plan_hash = hashlib.sha256(repr(sorted(plan.repos.items())).encode()).hexdigest()[:16]
     delta_fp = _corpus_fingerprint(new_rows_path)
-    input_fingerprint = f"append:{delta_fp}:{target_bytes}:{plan_hash}"
+    input_fingerprint = f"append:{delta_fp}:{target_bytes}:{plan_hash}:salt{partitioner.SALT_VERSION}"
 
     # idempotence: a partition whose manifest already carries THIS
     # append's fingerprint has the delta merged in — re-running a

@@ -125,8 +125,9 @@ def _pkey_fingerprints(corpus_path: str, plan, plan_hash: str,
             s, nb = plan.repos.get(r, (0, 1))  # mirror assign_pkeys' default
             for pk in range(s, s + nb):
                 pkey_files.setdefault(pk, set()).add(stats[p])
-    # no corpus path: a moved corpus resumes, manifests hold no location
-    base = f"{target_partition_bytes}:{plan_hash}"
+    # no corpus path: a moved corpus resumes, manifests hold no location;
+    # the salt version: a store salted another way re-encodes whole
+    base = f"{target_partition_bytes}:{plan_hash}:salt{partitioner.SALT_VERSION}"
     return {
         pk: base + ":" + hashlib.sha256(";".join(sorted(fs)).encode()).hexdigest()[:16]
         for pk, fs in pkey_files.items()

@@ -22,7 +22,7 @@ import pyarrow as pa
 import ray.data
 
 from ..stages import ann, dedup, joins, multimodal, text, training, windows
-from ..stages.groups import cached_get
+from ..stages.groups import cached_get, key_hash64
 from . import ann_index
 from . import queries as Q
 
@@ -211,7 +211,7 @@ def _zorder_store(sf_dir: str, cap: int = 5000) -> str:
     ds = ray.data.read_parquet(os.path.join(d, "corpus.parquet"))
 
     def add_pkey(b: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(b.column("repo").to_pandas().to_numpy(dtype=object))
+        h = key_hash64(b.column("repo"))
         return b.append_column("pkey", pa.array((h % 8).astype(np.int64)))
 
     def enc(g: pa.Table) -> pa.Table:

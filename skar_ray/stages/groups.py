@@ -30,6 +30,30 @@ import ray
 import ray.data
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+_NULL_HASH = np.uint64(0x5BD1E9955BD1E995)  # every null key, whatever its type
+
+
+def key_hash64(arr) -> np.ndarray:
+    """Stable 64-bit hash per value of an Arrow array, alike for every
+    integer width and every string/binary type (pandas' SipHash of a
+    canonical form).  Changing it must bump ``partitioner.SALT_VERSION``."""
+    import pyarrow as pa
+
+    from ..codecs.base import is_string_like
+
+    arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
+    arr = arr.dictionary_decode() if pa.types.is_dictionary(arr.type) else arr
+    if pa.types.is_floating(arr.type):  # + 0.0 folds -0.0 into 0.0
+        h = pd.util.hash_array(np.asarray(arr.cast(pa.float64()).fill_null(0.0)) + 0.0)
+    elif pa.types.is_integer(arr.type) or pa.types.is_boolean(arr.type):
+        h = pd.util.hash_array(np.asarray(arr.cast(pa.int64(), safe=False).fill_null(0)))
+    else:
+        b = arr if is_string_like(arr.type) else arr.cast(pa.large_string())
+        b = b.cast(pa.large_binary()).fill_null(b"").to_numpy(zero_copy_only=False)
+        h = pd.util.hash_array(b, categorize=False)
+    h[np.asarray(arr.is_null())] = _NULL_HASH
+    return h
+
 
 # Per-worker-process cache for ``ray.put`` broadcasts read by task-pool
 # map functions: without it every task re-fetches and re-deserializes

@@ -7,19 +7,22 @@ side (/root/reference/skar/src/schema.rs:183-197,242-244).  We provide:
 - ``broadcast_join_one_to_one``: small side broadcast via ``ray.put``
   once, probed per batch with a vectorised pandas merge; validates
   exactly-one-match semantics like the reference.
-- ``bucket_hash_join``: both-sides-large portable pattern — add
-  ``bucket = hash(key) % B`` to both sides, co-group per bucket, merge
-  inside ``map_groups``.  B and skew handling documented at call site.
+- ``bucket_hash_join`` / ``bucket_anti_join``: both-sides-large
+  portable pattern — add ``bucket = key_hash64(key) % B`` to both
+  sides, co-group per bucket through ``groups.bucketed_group_apply``,
+  merge (or ``isin``) per bucket.  B and skew handling documented at
+  call site.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 import ray
 import ray.data
-from .groups import cached_get
+from .groups import cached_get, key_hash64
 
 
 def _pa_type(t) -> pa.DataType:
@@ -28,8 +31,6 @@ def _pa_type(t) -> pa.DataType:
     which ``pa.nulls`` rejects."""
     if isinstance(t, pa.DataType):
         return t
-    import numpy as np
-
     try:
         return pa.from_numpy_dtype(np.dtype(t))
     except Exception:
@@ -73,7 +74,7 @@ def bucket_hash_join(
     n_buckets: int = 32,
     how: str = "inner",
 ) -> "ray.data.Dataset":
-    """Partitioned hash join: bucket both sides on ``crc32(key) % B``,
+    """Partitioned hash join: bucket both sides on ``key_hash64(key) % B``,
     pad to a shared schema, union, co-group per bucket, pandas-merge
     within each.  Column names (other than the key) must be disjoint.
     Skewed hot keys should be pre-salted into sub-buckets by the caller
@@ -97,15 +98,9 @@ def bucket_hash_join(
 
     def add_bucket(side: str, own: list[str]):
         def f(batch: pa.Table) -> pa.Table:
-            # vectorised bucket id over the Arrow buffers (works for
-            # string AND integer keys) — both large sides pass through
-            # here, a per-row Python hash loop would dominate the join
-            import numpy as np
-            import polars as pl
-
-            kc = batch.column(key)
-            h = pl.from_arrow(kc.combine_chunks() if isinstance(kc, pa.ChunkedArray) else kc).hash(seed=7)
-            b = (h.to_numpy().astype(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
+            # key_hash64 is canonical: int32 and int64 keys, string and
+            # large_string keys, and all nulls meet in one bucket
+            b = (key_hash64(batch.column(key)) % np.uint64(n_buckets)).astype(np.int64)
             cols = {}
             for name, typ in all_fields:
                 if name == key or name in own:
@@ -163,12 +158,7 @@ def bucket_anti_join(
 
     def tag(side: str):
         def f(batch: pa.Table) -> pa.Table:
-            import numpy as np
-            import polars as pl
-
-            kc = batch.column(key)
-            h = pl.from_arrow(kc.combine_chunks() if isinstance(kc, pa.ChunkedArray) else kc).hash(seed=7)
-            b = (h.to_numpy().astype(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
+            b = (key_hash64(batch.column(key)) % np.uint64(n_buckets)).astype(np.int64)
             cols = {key: batch.column(key)}
             for n in l_names:
                 cols[n] = (batch.column(n) if side == "L"
@@ -218,8 +208,6 @@ def broadcast_interval_join(
     Output: every left column plus the interval table's columns for
     each match.
     """
-    import numpy as np
-
     if len(intervals_df) > max_intervals:
         raise ValueError(
             f"interval table has {len(intervals_df)} rows (> max_intervals="

@@ -13,8 +13,8 @@ outliers, so we plan explicitly:
 2. **Deterministic plan** (driver): repos sorted by name are bin-packed
    into partitions of ~``target_bytes``; a repo larger than the target
    is **salted** across ``ceil(bytes/target)`` dedicated partitions
-   (bucket = (hash64(path)+hash64(commit)) mod n_buckets, vectorised)
-   so no partition exceeds ~target regardless of skew.
+   (bucket = (key_hash64(path)+key_hash64(commit)) mod n_buckets, see
+   ``SALT_VERSION``) so no partition exceeds ~target regardless of skew.
 3. **pkey stage**: a vectorised ``map_batches`` maps each row to its
    partition id via the broadcast plan (plan object is tiny — shipped
    in the task closure / ``ray.put``).
@@ -36,6 +36,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.aggregate import Sum
+
+from .groups import key_hash64
 
 
 @dataclass
@@ -155,14 +157,10 @@ def make_plan(repo_sizes: pa.Table, target_bytes: int) -> PartitionPlan:
     return PartitionPlan(repos=plan, n_partitions=pid, target_bytes=target_bytes)
 
 
-def _hash_col(arr: pa.Array) -> np.ndarray:
-    """Vectorised 64-bit hash per row (polars xxhash over the Arrow
-    buffers — no per-row Python; the old zlib.crc32 loop cost ~45× more
-    and ran precisely on the rows of giant salted repos)."""
-    import polars as pl
-
-    a = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-    return pl.from_arrow(a).hash(seed=42).to_numpy().astype(np.uint64)
+# The salt's version, part of every fingerprint that lets a resume skip
+# finished partitions: a store salted another way re-encodes whole.
+# Bump it whenever the formula below or ``groups.key_hash64`` changes.
+SALT_VERSION = 2
 
 
 def assign_pkeys(batch: pa.Table, plan: PartitionPlan) -> pa.Table:
@@ -180,6 +178,6 @@ def assign_pkeys(batch: pa.Table, plan: PartitionPlan) -> pa.Table:
     if needs_salt.any():
         rows = np.flatnonzero(needs_salt)
         sub = batch.take(pa.array(rows))
-        salt = (_hash_col(sub.column("path")) + _hash_col(sub.column("commit"))) % nbuck[idx][rows].astype(np.uint64)
+        salt = (key_hash64(sub.column("path")) + key_hash64(sub.column("commit"))) % nbuck[idx][rows].astype(np.uint64)
         pkey[rows] = pkey[rows] + salt.astype(np.int64)
     return batch.append_column("pkey", pa.array(pkey, type=pa.int64()))

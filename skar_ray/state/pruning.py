@@ -6,14 +6,41 @@ data_provider.rs:250-333), conservative: unknown stats ⇒ possible."""
 from __future__ import annotations
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def clause_compute(a, op: str, value):
     """One DNF clause as a pyarrow.compute boolean mask — the single op
     dispatch shared by the decode-and-compare path (_apply_dnf), the
     dict/rle encoded-form evaluator (_dict_value_mask) and the pushdown
     aggregates.  One table: adding an op in one consumer but not the
     others would split behavior by codec."""
+    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
+
+    if pa.types.is_integer(a.type):
+        # a Python int becomes a scalar of the column's type (pyarrow's
+        # own inference picks int64 and raises on uint64 values >= 2**63)
+        info = np.iinfo(a.type.to_pandas_dtype())
+        lo, hi = int(info.min), int(info.max)
+        if op == "in" and all(_is_int(v) for v in value):
+            value = [v for v in value if lo <= v <= hi]
+            if value:
+                return pc.is_in(a, value_set=pa.array(sorted(value), type=a.type))
+        elif op in ("==", "!=", "<", "<=", ">", ">=") and _is_int(value):
+            if not lo <= value <= hi:
+                # every stored value lies on one side of an out-of-range
+                # value: answer with an always-true or always-false
+                # comparison against the nearer bound (null rows stay null)
+                above = value > hi
+                everything = op == "!=" or op in (("<", "<=") if above else (">", ">="))
+                if above:
+                    value, op = hi, ("<=" if everything else ">")
+                else:
+                    value, op = lo, (">=" if everything else "<")
+            value = pa.scalar(value, type=a.type)
 
     if op == "==":
         return pc.equal(a, value)

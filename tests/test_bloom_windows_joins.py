@@ -108,9 +108,9 @@ def test_bucket_hash_join(ray_session):
 
 def test_bucket_joins_null_keys_sql_semantics(ray_session):
     """SQL semantics: a NULL key matches NOTHING.  pandas merge/isin
-    treat NaN == NaN as a match (and polars hashes all nulls to one
-    bucket, co-grouping them), so without explicit handling an inner
-    join emits null-key pairs and an anti-join wrongly drops null-keyed
+    treat NaN == NaN as a match (and ``groups.key_hash64`` hashes all
+    nulls to one bucket, co-grouping them), so without explicit handling
+    an inner join emits null-key pairs and an anti-join wrongly drops null-keyed
     left rows — regression for both."""
     import ray.data
 

@@ -155,9 +155,9 @@ def test_selector_sample_is_a_64_kib_row_prefix():
 # perfbench corpus, identical under the selector's 256 KiB and 64 KiB caps
 SEED1_CODECS = {
     "repo": "dict dict dict dict dict dict plain dict dict dict dict plain plain",
-    "path": "plain plain fsst plain plain plain fsst plain plain plain plain fsst fsst",
+    "path": "plain plain plain plain plain plain fsst plain plain plain plain fsst fsst",
     "commit": " ".join(["dict"] * 13),
-    "lang": "dict rle dict dict dict rle rle rle plain dict rle dict rle",
+    "lang": "dict rle rle rle dict dict rle dict dict dict rle dict rle",
     "content": " ".join(["fsst"] * 13),
 }
 
@@ -186,7 +186,7 @@ def test_selector_sample_keeps_perfbench_choices_and_bytes(tmp_path):
         for cm in chunk["columns"]:
             codecs.setdefault(cm["name"], []).append(cm["codec"])
     assert {c: " ".join(v) for c, v in codecs.items()} == SEED1_CODECS
-    assert total == 846_970
+    assert total == 845_399
 
 
 LIST_CASES = {

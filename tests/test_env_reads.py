@@ -1,7 +1,8 @@
-"""The library reads no SKAR_* environment variable.
+"""The library reads and sets no environment variable at all.
 
 Experiment knobs behind env variables fork the code path a benchmark or
-test actually exercises; this scan keeps new ones from creeping back.
+test actually exercises, and a default set at import leaks into the
+caller's process; this scan keeps both from creeping back.
 """
 
 import ast
@@ -43,7 +44,5 @@ def test_no_skar_env_read():
         for path in sorted(PKG.rglob("*.py"))
         for name in _env_names(ast.parse(path.read_text()))
     ]
-    assert reads, "scan found no environment access at all"
-    assert all(name is not None for _, name in reads), reads
-    skar = {name for _, name in reads if name.startswith("SKAR_")}
-    assert skar == set(), reads
+    assert list(PKG.rglob("*.py")), "scan found no modules"
+    assert reads == []

@@ -4,6 +4,10 @@ No stage passes a callable class (an actor pool), a ``concurrency``
 bound or constructor arguments, and nothing imports the deleted
 ``skar_ray.runtime`` pool-sizing module.  Broadcast state is read
 through ``groups.cached_get`` instead.
+
+Nothing in the library imports polars either: every Ray worker already
+holds pandas and pyarrow, and the first polars import in a worker
+costs ~28 MB of resident memory (its runtime library is ~200 MB).
 """
 
 import ast
@@ -101,6 +105,27 @@ def test_scanner_sees_every_actor_form():
         "from ..runtime import pool_size\nfrom .. import runtime\nimport skar_ray.runtime\n"
     )))
     assert {"skar_ray.runtime", "skar_ray.runtime.pool_size"} <= imports
+
+
+def _polars_imports():
+    return [
+        (str(path.relative_to(ROOT)), mod)
+        for path, tree in _modules()
+        for mod in _imported_modules(path, tree)
+        if mod.split(".")[0] == "polars"
+    ]
+
+
+def test_scanner_sees_every_polars_import():
+    mod_path = ROOT / "skar_ray" / "stages" / "x.py"
+    src = "import polars as pl\nfrom polars import col\nimport polars.selectors\nimport polarsx\n"
+    got = [m for m in _imported_modules(mod_path, ast.parse(src)) if m.split(".")[0] == "polars"]
+    assert sorted(set(got)) == ["polars", "polars.col", "polars.selectors"]
+
+
+def test_nothing_imports_polars():
+    assert list(_modules()), "scan found no modules"
+    assert _polars_imports() == []
 
 
 def test_every_map_stage_is_a_task_pool_function():
