@@ -6,7 +6,8 @@ sampling selector: stride-sample at most 1024 rows of the column, cap
 a string sample at a 64 KiB row prefix, encode the sample with every
 admissible codec (including the zstd page pass the container applies),
 and pick the minimum estimated bytes.  The choice and the per-candidate
-estimates are recorded in the partition manifest.
+estimates are recorded in the container header, or, when a hashed
+encode chose the codec once for the corpus, in ``_manifest/_job.json``.
 """
 
 from __future__ import annotations

@@ -4,11 +4,13 @@ The Ray-native re-expression of the reference's write path
 (`process_data` flush, /root/reference/skar/src/skar_runner.rs:285-370):
 
     size pre-pass → PartitionPlan             # skew plan (driver-small, cached)
+      + codec plan                            # every column's codec + FSST table,
+                                              # chosen once on a stratified sample
     per-pkey input fingerprints               # manifest resume filter
     run_hashed_encode (hash_exchange.py):
       map tasks:    read file groups → assign_pkeys → split by pkey
       reduce tasks: one per pkey → encode_partition
-             each partition: lexsort → chunk → auto-codec → .skarc + manifest
+             each partition: lexsort → chunk → planned codecs → .skarc + manifest
 
 Two modes:
 - ``mode="hashed"`` (default): the sort-free hash exchange co-locates
@@ -19,7 +21,9 @@ Two modes:
   worse ratio).  The registry's non-corpus tables use it.
 
 Returns a summary pyarrow Table (one row per partition) and writes the
-job-level summary into ``<out>/_manifest/_job.json``.
+job-level summary into ``<out>/_manifest/_job.json``; a hashed encode's
+``codec_plan`` entry holds each planned column's codec, its sample
+estimates and the bytes it realized over the store.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 
 import pyarrow as pa
 
@@ -134,36 +139,118 @@ def _pkey_fingerprints(corpus_path: str, plan, plan_hash: str,
     }
 
 
-def _cached_plan(corpus_path: str, target_partition_bytes: int | None):
-    """Partition plans are deterministic functions of (corpus, target);
-    cache them on disk so reruns/resumes skip the size pre-pass — the
-    analog of skar reopening its stored folder index instead of
-    rescanning (/root/reference/skar/src/db/mod.rs:68-86)."""
-    import pickle
+def corpus_sample(paths: list[str]) -> tuple[bytes, pa.Table | None]:
+    """The codec plan's sample, stratified by input file: one pass over
+    the heads of at most 16 files, stratum ``i`` being
+    ``paths[i * len(paths) // 16]``.  It holds
 
+    - ``content``'s FSST training sample: 16 pieces of 4 KiB, a file's
+      pieces spread along the first 1 MiB of its content (one file can
+      hold tens of MB); a head no longer than them is taken whole;
+    - at most 1024 rows of every column: each stratum's first 64 rows
+      (None when no file has a row).  Consecutive rows keep a
+      partition's run and dictionary density; strided ones chose codecs
+      that wrote more bytes.
+
+    The read stops at 1 MiB of content per file, so its cost does not
+    grow with file size."""
+    import pyarrow.parquet as pq
+
+    from ..codecs import base
+
+    pieces: list[bytes] = []
+    rows: list[pa.Table] = []
+    for p, k in Counter(paths[i * len(paths) // 16] for i in range(16)).items():
+        f = pq.ParquetFile(p, buffer_size=1 << 20)  # streams the column chunks
+        has_content = "content" in f.schema_arrow.names
+        head, batches, n = b"", [], 0
+        for b in f.iter_batches(256):
+            batches.append(b)
+            if has_content:
+                head = (head + base.strings_to_buffers(base.split_nulls(b.column("content"))[1])[1])[: 1 << 20]
+            n += b.num_rows
+            if len(head) == 1 << 20 or (not has_content and n >= 64 * k):
+                break
+        step = max(len(head) // k, 4096)  # a head of ≤ k pieces tiles whole
+        pieces += [head[j * step : j * step + 4096] for j in range(k)]
+        rows.append(pa.Table.from_batches(batches, f.schema_arrow).slice(0, 64 * k))
+    sample = pa.concat_tables(rows, promote_options="permissive") if rows else None
+    return b"".join(pieces), sample if sample is not None and sample.num_rows else None
+
+
+def codec_plan(paths: list[str]) -> dict:
+    """Column → (codec, FSST table or None, sample estimates), chosen
+    ONCE for the corpus by ``container._plan_column`` on
+    ``corpus_sample``'s rows, lexsorted as a partition is; ``content``
+    uses the table trained on the content pieces.  Every reduce of a
+    hashed encode then only encodes (``hash_exchange``)."""
+    from ..codecs.fsst import FsstCodec
+    from ..stages.encoder import lexsort
+    from ..state.container import _plan_column
+
+    content, rows = corpus_sample(paths)
+    if rows is None:
+        return {}
+    rows = lexsort(rows)
+    out = {}
+    for name in rows.column_names:
+        shared = FsstCodec().make_table(content) if name == "content" and content else None
+        _, codec, table, estimates = _plan_column(rows.column(name), None, shared)
+        out[name] = (codec, table, estimates)
+    return out
+
+
+# the cached plan's format, part of its cache key: a plan pickled in
+# another shape (one without ``codecs``) is rebuilt, never loaded
+PLAN_VERSION = 2
+
+
+def _plan_cache_file(corpus_path: str, target_partition_bytes: int | None) -> str:
     fp = _corpus_fingerprint(corpus_path)
     cache_dir = "/tmp/skar_ray_plans"
     os.makedirs(cache_dir, exist_ok=True)
     key = f"{fp}-{target_partition_bytes or 'auto'}"
-    import ray as _ray
-
     if target_partition_bytes is None:
+        import ray as _ray
+
         key = f"{fp}-auto{int(_ray.cluster_resources().get('CPU', 8))}"
-    cache_file = os.path.join(cache_dir, key + ".pkl")
+    return os.path.join(cache_dir, f"{key}-v{PLAN_VERSION}.pkl")
+
+
+def _cached_plan(corpus_path: str, target_partition_bytes: int | None):
+    """Partition plans, codec plan included, are deterministic functions
+    of (corpus, target); cache them on disk so reruns/resumes skip the
+    size pre-pass and the codec selection — the analog of skar reopening
+    its stored folder index instead of rescanning
+    (skar/src/db/mod.rs:68-86).  Pickle keeps each FSST
+    table's trained chain order, so a cached table writes the bytes a
+    cold one does."""
+    import pickle
+
+    cache_file = _plan_cache_file(corpus_path, target_partition_bytes)
     if os.path.exists(cache_file):
         with open(cache_file, "rb") as f:
-            return pickle.load(f)
-    sizes = partitioner.repo_size_prepass_fast(corpus_path)
-    if target_partition_bytes is None:
-        import pyarrow.compute as pc
+            cached = pickle.load(f)
+        if cached[0] == PLAN_VERSION:  # an older shape has no version in front
+            return cached[1:]
+    from concurrent.futures import ThreadPoolExecutor
 
-        target_partition_bytes = _auto_partition_bytes(
-            int(pc.sum(sizes.column("bytes")).as_py() or 0)
-        )
-    plan = partitioner.make_plan(sizes, target_partition_bytes)
+    # the codec plan reads a few file heads in this process while the
+    # size pre-pass waits on its Ray Data job
+    with ThreadPoolExecutor(1) as pool:
+        codecs = pool.submit(codec_plan, partitioner.input_paths(corpus_path))
+        sizes = partitioner.repo_size_prepass_fast(corpus_path)
+        if target_partition_bytes is None:
+            import pyarrow.compute as pc
+
+            target_partition_bytes = _auto_partition_bytes(
+                int(pc.sum(sizes.column("bytes")).as_py() or 0)
+            )
+        plan = partitioner.make_plan(sizes, target_partition_bytes)
+        plan.codecs = codecs.result()
     tmp = cache_file + ".tmp"
     with open(tmp, "wb") as f:
-        pickle.dump((plan, target_partition_bytes), f)
+        pickle.dump((PLAN_VERSION, plan, target_partition_bytes), f)
     os.replace(tmp, cache_file)
     return plan, target_partition_bytes
 
@@ -275,6 +362,18 @@ def run_encode_job(
         "enc_bytes": int(pa.compute.sum(summary.column("enc_bytes")).as_py() or 0),
         "wall_s": round(time.time() - t0, 3),
     }
+    if mode == "hashed":
+        # the codec plan the reduces used, with each column's sample
+        # estimates next to the bytes it realized across the store
+        from .hash_exchange import planned_codecs
+
+        realized: Counter = Counter()
+        for m in manifest_mod.scan_manifests(out_dir).values():
+            realized.update({n: st["enc_bytes"] for n, st in m.columns.items()})
+        job["codec_plan"] = {
+            n: {"codec": c, "estimates": est, "enc_bytes": realized[n]}
+            for n, (c, _, est) in planned_codecs(plan, codec_overrides).items()
+        }
     os.makedirs(manifest_mod.manifest_dir(out_dir), exist_ok=True)
     with open(os.path.join(manifest_mod.manifest_dir(out_dir), "_job.json"), "w") as f:
         json.dump(job, f)

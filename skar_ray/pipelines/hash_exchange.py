@@ -24,11 +24,14 @@ digest), decoded whole and digest-checked against its manifest.  The
 encode job passes its input files; append passes the delta's files
 plus the affected containers; compact passes every source container.
 
-When every source is a parquet file (the encode job), the driver trains
-the job's one ``content`` FSST table on a sample stratified by input
-file while the maps run, and every reduce embeds it.  A job with a
-container source trains per partition, as the sample would not cover
-the decoded rows.
+When every source is a parquet file (the encode job, and an append
+whose delta touches no existing partition), every reduce encodes with
+the partition plan's codec plan (``PartitionPlan.codecs``: one codec
+and FSST table per column, chosen once per corpus on a file-stratified
+sample, see ``encode_job.codec_plan``) and selects nothing; a
+``codec_overrides`` entry still wins for its column.  A job with a
+container source selects and trains per partition, as the sample would
+not cover the decoded rows.
 
 Plasma traffic is one write + one read of the data — the sort path
 pays that twice plus the sort compute.  Partitioning assumption: one
@@ -49,14 +52,11 @@ containers emit launch once every map is done.
 from __future__ import annotations
 
 import os
-from collections import Counter
 
 import pyarrow as pa
 
 import ray
 
-from ..codecs import base
-from ..codecs.fsst import FsstCodec
 from ..stages import partitioner
 from ..stages.decoder import decode_manifest_batch
 from ..stages.encoder import encode_partition
@@ -145,33 +145,17 @@ def _map_split(sources: list, plan: "partitioner.PartitionPlan",
 @ray.remote
 def _reduce_encode(pkey: int, refs: list["ray.ObjectRef"], out_dir: str,
                    chunk_target_bytes: int, input_fingerprint: str,
-                   codec_overrides: dict | None, fsst_tables: dict | None,
+                   codec_overrides: dict | None, codec_plan: dict | None,
                    validate: bool = True) -> dict:
     t = _concat(ray.get(list(refs)))
     summary = encode_partition(t, out_dir, chunk_target_bytes, input_fingerprint,
-                               codec_overrides, validate=validate, fsst_tables=fsst_tables)
+                               codec_overrides, validate=validate, codec_plan=codec_plan)
     return {k: summary.column(k)[0].as_py() for k in summary.column_names}
 
 
-def content_sample(paths: list[str]) -> bytes:
-    """The job's ``content`` FSST training sample: 16 pieces of 4 KiB,
-    piece ``i`` from ``paths[i * len(paths) // 16]``.  A partition holds
-    one or a few repos, and a table fitted to it generalises worse.  A
-    file's pieces are spread along the first 1 MiB of its content (one
-    file can hold tens of MB); a head no longer than them is taken whole."""
-    import pyarrow.parquet as pq
-
-    out: list[bytes] = []
-    for p, k in Counter(paths[i * len(paths) // 16] for i in range(16)).items():
-        head = b""
-        # buffer_size streams the column chunk (unbuffered: all 15 MB at sf0.1)
-        for b in pq.ParquetFile(p, buffer_size=1 << 20).iter_batches(256, columns=["content"]):
-            head = (head + base.strings_to_buffers(base.split_nulls(b.column(0))[1])[1])[: 1 << 20]
-            if len(head) == 1 << 20:
-                break
-        step = max(len(head) // k, 4096)  # a head of ≤ k pieces tiles whole
-        out += [head[j * step : j * step + 4096] for j in range(k)]
-    return b"".join(out)
+def planned_codecs(plan: "partitioner.PartitionPlan", codec_overrides: dict | None) -> dict:
+    """The plan's codec plan minus the columns ``codec_overrides`` names."""
+    return {n: c for n, c in (plan.codecs or {}).items() if n not in (codec_overrides or {})}
 
 
 def file_repo_sets(paths: list[str]) -> dict[str, list[str]]:
@@ -253,14 +237,10 @@ def run_hashed_encode(
                 if pk not in skip_pkeys:
                     contrib.setdefault(pk, set(with_containers)).add(gi)
 
-    # content's table for the whole job, if it can be FSST (_plan_column's rule)
-    # and every source is a parquet file (the sample cannot cover rows
-    # decoded from containers); path and commit keep per-partition
-    # tables: a shared one measured worse
-    can_fsst = (codec_overrides or {}).get("content") in (None, "fsst")
-    all_parquet = len(paths) == len(sources)
-    sample = content_sample(paths) if contrib and can_fsst and all_parquet else b""
-    fsst_tables = {"content": FsstCodec().make_table(sample)} if sample else None
+    # the corpus's codecs and tables, if every source is a parquet file:
+    # the sample they were chosen on cannot cover rows decoded from
+    # containers, whose reduces select per partition
+    codec_plan = (planned_codecs(plan, codec_overrides) or None) if len(paths) == len(sources) else None
 
     # ray.wait-driven: launch each pkey's reduce the moment every map
     # group that can contribute to it has finished
@@ -281,7 +261,7 @@ def run_hashed_encode(
                 # O(P²) bytes across the reduce wave at scale
                 futs.append(_reduce_encode.remote(
                     pk, refs, out_dir, chunk_target_bytes,
-                    input_fingerprint.get(pk, ""), codec_overrides, fsst_tables, validate,
+                    input_fingerprint.get(pk, ""), codec_overrides, codec_plan, validate,
                 ))
             launched.add(pk)
 
@@ -301,7 +281,7 @@ def run_hashed_encode(
     for pk, refs in sorted(leftovers.items()):
         futs.append(_reduce_encode.remote(
             pk, refs, out_dir, chunk_target_bytes,
-            input_fingerprint.get(pk, ""), codec_overrides, fsst_tables, validate,
+            input_fingerprint.get(pk, ""), codec_overrides, codec_plan, validate,
         ))
     rows = ray.get(futs)
     if not rows:

@@ -186,6 +186,24 @@ def query_encoded_budgeted(
     return out, next_cursor
 
 
+class _TypedResult(ray.data.Dataset):
+    """A query result whose pandas form keeps the projected columns and
+    their types when no row matches: Ray builds ``to_pandas`` from the
+    result's batches, and a zero-row result has none."""
+
+    _empty = None  # () -> the result's typed zero-row table
+
+    def to_pandas(self, limit: int | None = None):
+        df = super().to_pandas(limit=limit)
+        return df if len(df.columns) else self._empty().to_pandas()
+
+
+def _typed_result(ds: "ray.data.Dataset", empty) -> "ray.data.Dataset":
+    ds.__class__ = _TypedResult
+    ds._empty = empty
+    return ds
+
+
 def query_encoded(
     out_dir: str,
     columns: list[str] | None = None,
@@ -198,7 +216,8 @@ def query_encoded(
     if not pids and manifests:
         # everything pruned: return a TYPED empty result (schema from any
         # container header) so downstream column operations still work
-        return ray.data.from_arrow(_typed_empty(out_dir, manifests, columns))
+        empty = _typed_empty(out_dir, manifests, columns)
+        return _typed_result(ray.data.from_arrow(empty), lambda: empty)
     rows = [
         {
             "partition_id": pid,
@@ -221,7 +240,7 @@ def query_encoded(
     )
     if limit is not None:
         ds = ds.limit(limit)
-    return ds
+    return _typed_result(ds, lambda: _typed_empty(out_dir, manifests, columns)) if manifests else ds
 
 
 # the largest key set a broadcast semi-join may collect into the driver

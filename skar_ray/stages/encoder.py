@@ -12,7 +12,8 @@ the hash exchange's reduce task), mirroring the reference's per-folder flush
 3. slice into size-capped chunks by cumulative content bytes (row-group
    slicing analog, write_parquet.rs:83-103) so FSST/zstd buffers stay
    bounded;
-4. per chunk, per column: auto-select a codec and encode;
+4. per column: the corpus's planned codec (``codec_plan``) or one
+   auto-selected for this partition; encode chunk by chunk;
 5. write `part-NNNNNN.skarc` + manifest row atomically (temp+rename,
    skar_runner.rs:296-321).
 
@@ -147,15 +148,15 @@ def encode_partition(
     validate: bool = True,
     sort_fn=None,
     sort_keys_label: list[str] | None = None,
-    fsst_tables: dict | None = None,
+    codec_plan: dict | None = None,
 ) -> pa.Table:
     """Encode one partition; returns a 1-row summary table.
 
     ``sort_fn`` overrides the pre-write clustering (default
     ``lexsort`` by SORT_KEYS) — e.g. ``lambda t: zsort(t, keys)`` for
     multi-column z-order stores; ``sort_keys_label`` is recorded in
-    the container header alongside it.  ``fsst_tables``: column name →
-    the job's FSST table (``write_container``).
+    the container header alongside it.  ``codec_plan``: the corpus's
+    ``PartitionPlan.codecs``, or a subset (``write_container``).
 
     ``validate=True`` (default) decode-verifies the temp container —
     content column round-trip vs the partition sha256 digest already in
@@ -228,7 +229,7 @@ def encode_partition(
                "sort_keys": sort_keys_label
                or (SORT_KEYS if sort_fn is None else ["custom"])},
         validator=validator,
-        fsst_tables=fsst_tables,
+        codec_plan=codec_plan,
     )
     timings["encode_write"] = time.time() - t1
 

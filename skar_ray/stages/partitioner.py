@@ -46,6 +46,9 @@ class PartitionPlan:
     repos: dict[str, tuple[int, int]]
     n_partitions: int
     target_bytes: int
+    # column -> (codec, FSST table or None, sample estimates), chosen once
+    # per corpus (encode_job.codec_plan); None: every partition selects
+    codecs: dict | None = None
 
 
 def content_sizes(batch: pa.Table, column: str = "content") -> np.ndarray:

@@ -59,14 +59,15 @@ def _chunk_stats(name: str, col) -> dict | None:
 
 
 def _plan_column(col, codec_override: str | None = None, shared_table=None):
-    """Partition-level codec plan for ONE column: auto-select the codec
-    on a sample unless ``codec_override`` names it.  When FSST can be
-    chosen — no override or an ``"fsst"`` override — a string-like
-    column uses ``shared_table``, the job's table, if given; else it
-    trains one table (reused across chunks) if it is high-cardinality.
-    Any other override skips the sample, the distinct count and the
-    training.  Shared by write_container and append_column so a derived
-    column gets exactly the same codec treatment as an encode-time one."""
+    """Codec plan for ONE column: auto-select the codec on a sample
+    unless ``codec_override`` names it.  When FSST can be chosen — no
+    override or an ``"fsst"`` override — a string-like column uses
+    ``shared_table`` if given; else it trains one table (reused across
+    chunks) if it is high-cardinality.  Any other override skips the
+    sample, the distinct count and the training.  Shared by
+    write_container, append_column and the corpus-level codec plan
+    (``encode_job.codec_plan``), so every column gets the same codec
+    treatment."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     can_fsst = codec_override in (None, "fsst") and base.is_string_like(col.type) and len(col)
@@ -91,12 +92,14 @@ def _plan_column(col, codec_override: str | None = None, shared_table=None):
 def write_container(path: str, table: pa.Table, chunk_rows: list[tuple[int, int]] | None = None,
                     codec_overrides: dict[str, str] | None = None,
                     extra: dict | None = None, validator=None,
-                    fsst_tables: dict | None = None) -> dict:
+                    codec_plan: dict | None = None) -> dict:
     """Encode `table` chunk-by-chunk and write the container atomically.
 
     ``chunk_rows`` is a list of (offset, length) slices; default one
     chunk.  Returns the header dict (with per-column byte accounting).
-    ``fsst_tables``: column name → the job's FSST table (``_plan_column``).
+    ``codec_plan``: column name → (codec, FSST table or None, sample
+    estimates) chosen for the whole corpus; those columns select and
+    train nothing here, and their headers carry no ``estimates``.
 
     ``validator``, if given, is called with the TEMP file path after
     the write and before the publishing rename — the reference
@@ -109,20 +112,21 @@ def write_container(path: str, table: pa.Table, chunk_rows: list[tuple[int, int]
     if chunk_rows is None:
         chunk_rows = [(0, table.num_rows)]
     codec_overrides = codec_overrides or {}
-    fsst_tables = fsst_tables or {}
+    codec_plan = codec_plan or {}
 
-    # partition-level codec plan: select ONCE per column (sampled), and
-    # use ONE FSST symbol table per column across chunks — the job's
-    # (the hashed encode's content table) or one trained on this
-    # partition; per-chunk re-training/re-selection would dominate
+    # one codec and at most one FSST symbol table per column across
+    # chunks — the corpus's (``codec_plan``) or selected and trained on
+    # this partition; per-chunk re-training/re-selection would dominate
     # encode time.  Every container embeds its tables.  Only columns
     # that can end up FSST train: any other override skips training.
     plan: dict[str, tuple[str, object, dict]] = {}
     for name in table.column_names:
-        _, codec, fsst_table, estimates = _plan_column(
-            table.column(name), codec_overrides.get(name), fsst_tables.get(name)
-        )
-        plan[name] = (codec, fsst_table, estimates)
+        if name in codec_plan:
+            codec, fsst_table, _ = codec_plan[name]
+            plan[name] = (codec, fsst_table, {})
+        else:
+            _, codec, fsst_table, estimates = _plan_column(table.column(name), codec_overrides.get(name))
+            plan[name] = (codec, fsst_table, estimates)
 
     chunks_meta = []
     blobs: list[bytes] = []

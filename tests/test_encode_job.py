@@ -22,8 +22,7 @@ from skar_ray.codecs import auto, base
 from skar_ray.codecs.fsst import FsstCodec, SymbolTable
 from skar_ray.corpus import ensure_corpus
 from skar_ray.pipelines.decode_job import decoded_dataset, run_verify_job
-from skar_ray.pipelines.encode_job import _cached_plan, run_encode_job
-from skar_ray.pipelines.hash_exchange import content_sample
+from skar_ray.pipelines.encode_job import _cached_plan, corpus_sample, run_encode_job
 from skar_ray.stages.encoder import encode_partition
 from skar_ray.stages.partitioner import assign_pkeys, input_paths, make_plan, repo_size_prepass
 from skar_ray.state import container, manifest
@@ -161,21 +160,18 @@ def _fsst_symbols(path: str, column: str) -> list[bytes] | None:
 
 def test_hashed_encode_shares_one_content_table(encoded):
     """A hashed encode trains ONE content table from the file-stratified
-    sample and every container embeds it; path keeps a table trained
-    per partition."""
+    sample, with the partition plan, and every container embeds it; a
+    column the codec plan gives FSST embeds the plan's one table too."""
     corpus, summary = encoded
     files = sorted(os.path.join(OUT, f) for f in os.listdir(OUT) if f.endswith(".skarc"))
     assert len(files) > 1
-    want = FsstCodec().make_table(content_sample(input_paths(corpus))).symbols
+    want = FsstCodec().make_table(corpus_sample(input_paths(corpus))[0]).symbols
     assert all(_fsst_symbols(f, "content") == want for f in files)
-    fsst_paths = 0
-    for f in files:
-        got = _fsst_symbols(f, "path")
-        if got is not None:
-            col = container.read_container(f, columns=["path"]).column("path").combine_chunks()
-            assert got == FsstCodec().make_table(base.strings_to_buffers(col)[1]).symbols
-            fsst_paths += 1
-    assert fsst_paths > 1
+    plan, _ = _cached_plan(corpus, 2 << 20)
+    for name, (codec, table, _) in plan.codecs.items():
+        assert (table is not None) == (codec == "fsst"), name
+        if table is not None:
+            assert all(_fsst_symbols(f, name) == table.symbols for f in files), name
 
 
 def test_content_sample_is_stratified_by_input_file(tmp_path):
@@ -187,20 +183,22 @@ def test_content_sample_is_stratified_by_input_file(tmp_path):
         return path
 
     many = [write(f"a{j:02d}.parquet", [chr(65 + j) * 5000, "tail"]) for j in range(20)]
-    assert content_sample(many) == b"".join(chr(65 + i * 20 // 16).encode() * 4096 for i in range(16))
+    assert corpus_sample(many)[0] == b"".join(chr(65 + i * 20 // 16).encode() * 4096 for i in range(16))
     text = "".join(f"{i:07d}\n" for i in range(1 << 18))  # 2 MiB in one row
     step = (1 << 20) // 8
     want = "".join(text[j * step : j * step + 4096] for j in range(8)).encode()
-    assert content_sample([write(f"b{j}.parquet", [text]) for j in range(2)]) == want * 2
+    assert corpus_sample([write(f"b{j}.parquet", [text]) for j in range(2)])[0] == want * 2
 
 
 def test_fast_profile_trains_no_table(ray_session, corpus_dir, tmp_path, monkeypatch):
-    """The fast profile overrides every column, so neither the driver
-    nor a reduce task calls ``make_table``."""
+    """The fast profile overrides every column, so once the plan is
+    made, neither the driver nor a reduce task calls ``make_table``."""
     import ray
 
     from skar_ray.pipelines import hash_exchange
 
+    corpus = os.path.join(corpus_dir, "corpus.parquet")
+    _cached_plan(corpus, 2 << 20)
     driver_calls = []
     real_make_table = FsstCodec.make_table
     monkeypatch.setattr(FsstCodec, "make_table",
@@ -221,7 +219,6 @@ def test_fast_profile_trains_no_table(ray_session, corpus_dir, tmp_path, monkeyp
         return {**row, "trained": len(calls)}
 
     monkeypatch.setattr(hash_exchange, "_reduce_encode", counting_reduce)
-    corpus = os.path.join(corpus_dir, "corpus.parquet")
     s = run_encode_job(corpus, str(tmp_path / "fast"), target_partition_bytes=2 << 20,
                        chunk_target_bytes=1 << 20, profile="fast")
     assert s.num_rows > 1 and s.column("trained").to_pylist() == [0] * s.num_rows
@@ -246,7 +243,7 @@ def test_hashed_encode_of_sparse_content_verifies(ray_session, tmp_path, content
     os.makedirs(corpus)
     for k in range(3):
         pq.write_table(t.slice(20 * k, 20), os.path.join(corpus, f"part-{k:04d}.parquet"))
-    assert len(content_sample(input_paths(corpus))) < 4 << 10
+    assert len(corpus_sample(input_paths(corpus))[0]) < 4 << 10
     out = str(tmp_path / "store")
     s = run_encode_job(corpus, out, target_partition_bytes=1 << 10, chunk_target_bytes=1 << 20)
     assert s.num_rows >= 1
@@ -291,16 +288,15 @@ def test_hashed_mode_matches_inprocess_reference_and_resumes(ray_session, corpus
     # reference with no exchange: assign pkeys to the whole corpus in
     # process and encode each pkey's rows directly — the exchange must
     # deliver exactly those rows to each partition, bit for bit
-    # (with the job's one content table, trained on the same sample)
+    # (with the plan's codecs and tables)
     plan, _ = _cached_plan(corpus, 2 << 20)
     keyed = assign_pkeys(read_corpus_table(corpus), plan)
-    shared = {"content": FsstCodec().make_table(content_sample(input_paths(corpus)))}
     ref_dir = str(tmp_path / "reference")
     cols = ["partition_id", "n_rows", "raw_bytes", "enc_bytes", "content_sha256"]
     want = []
     for pk in sorted(set(keyed.column("pkey").to_pylist())):
         rows = keyed.filter(pc.equal(keyed.column("pkey"), pk))
-        r = encode_partition(rows, ref_dir, 1 << 20, fsst_tables=shared)
+        r = encode_partition(rows, ref_dir, 1 << 20, codec_plan=plan.codecs)
         want.append(tuple(r.column(c)[0].as_py() for c in cols))
     got = sorted(zip(*(s1.column(c).to_pylist() for c in cols)))
     assert got == sorted(want), "hash exchange must produce the reference partitions"

@@ -91,6 +91,20 @@ def test_impossible_filter_prunes_everything(encoded):
     assert kept == []
 
 
+@pytest.mark.parametrize("filters", [
+    [[("repo", "==", "zzzz-none")]],           # every partition pruned
+    [[("content", "contains", "zzzz-none")]],  # partitions kept, no row matches
+])
+def test_empty_result_keeps_columns_in_pandas(encoded, filters):
+    """A query that matches no row still has the projected columns, with
+    their types, in its ``to_pandas()`` frame."""
+    want = read_corpus_table(encoded).select(["repo", "lang", "content"]).slice(0, 0).to_pandas()
+    got = query_encoded(OUT, columns=["repo", "lang", "content"], filters=filters).to_pandas()
+    assert len(got) == 0
+    assert list(got.columns) == ["repo", "lang", "content"]
+    assert got.dtypes.to_dict() == want.dtypes.to_dict()
+
+
 def test_chunk_pruning_correct_and_effective(encoded):
     """Row-group-analog pruning: chunk min/max on the sorted path column
     lets a prefix query skip chunks, with identical final results."""
