@@ -82,7 +82,7 @@ def run_append_job(
     if loaded is not None:
         plan, target_bytes = loaded
     elif base_corpus_path is not None:
-        plan, target_bytes = _cached_plan(base_corpus_path, target_partition_bytes)
+        plan, target_bytes = _cached_plan(base_corpus_path, target_partition_bytes, codec_overrides)
     else:
         raise ValueError("no persisted plan in out_dir and no base_corpus_path given")
 

@@ -4,7 +4,7 @@ The Ray-native re-expression of the reference's write path
 (`process_data` flush, /root/reference/skar/src/skar_runner.rs:285-370):
 
     size pre-pass → PartitionPlan             # skew plan (driver-small, cached)
-      + codec plan                            # every column's codec + FSST table,
+      + codec plan                            # each string column's codec + FSST table,
                                               # chosen once on a stratified sample
     per-pkey input fingerprints               # manifest resume filter
     run_hashed_encode (hash_exchange.py):
@@ -28,6 +28,7 @@ estimates and the bytes it realized over the store.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -140,20 +141,22 @@ def _pkey_fingerprints(corpus_path: str, plan, plan_hash: str,
 
 
 def corpus_sample(paths: list[str]) -> tuple[bytes, pa.Table | None]:
-    """The codec plan's sample, stratified by input file: one pass over
-    the heads of at most 16 files, stratum ``i`` being
-    ``paths[i * len(paths) // 16]``.  It holds
+    """The codec plan's sample, stratified by input file: the heads of at
+    most 16 files, stratum ``i`` being ``paths[i * len(paths) // 16]``.
+    It holds
 
     - ``content``'s FSST training sample: 16 pieces of 4 KiB, a file's
       pieces spread along the first 1 MiB of its content (one file can
       hold tens of MB); a head no longer than them is taken whole;
-    - at most 1024 rows of every column: each stratum's first 64 rows
-      (None when no file has a row).  Consecutive rows keep a
-      partition's run and dictionary density; strided ones chose codecs
-      that wrote more bytes.
+    - at most 1024 rows of every string-like column: each stratum's
+      first 64 rows (None when no file has a row).  Consecutive rows
+      keep a partition's run and dictionary density; strided ones chose
+      codecs that wrote more bytes.
 
-    The read stops at 1 MiB of content per file, so its cost does not
-    grow with file size."""
+    The read holds at most 1 MiB of content and 64 rows per stratum,
+    whatever the file's size: ``content`` is read alone, to the end of
+    its 1 MiB head and its rows, and the other string columns only to
+    their rows, so no page is decoded twice."""
     import pyarrow.parquet as pq
 
     from ..codecs import base
@@ -162,28 +165,47 @@ def corpus_sample(paths: list[str]) -> tuple[bytes, pa.Table | None]:
     rows: list[pa.Table] = []
     for p, k in Counter(paths[i * len(paths) // 16] for i in range(16)).items():
         f = pq.ParquetFile(p, buffer_size=1 << 20)  # streams the column chunks
-        has_content = "content" in f.schema_arrow.names
-        head, batches, n = b"", [], 0
-        for b in f.iter_batches(256):
-            batches.append(b)
-            if has_content:
-                head = (head + base.strings_to_buffers(base.split_nulls(b.column("content"))[1])[1])[: 1 << 20]
-            n += b.num_rows
-            if len(head) == 1 << 20 or (not has_content and n >= 64 * k):
-                break
+        schema = pa.schema([fl for fl in f.schema_arrow if base.is_string_like(fl.type)])
+        head, kept = b"", {}
+        if "content" in schema.names:
+            chunks, n = [], 0
+            for b in f.iter_batches(256, columns=["content"]):
+                if n < 64 * k:
+                    chunks.append(b.column(0))
+                    n += b.num_rows
+                head = (head + base.strings_to_buffers(base.split_nulls(b.column(0))[1])[1])[: 1 << 20]
+                if n >= 64 * k and len(head) == 1 << 20:
+                    break
+            kept["content"] = chunks
+        others = [name for name in schema.names if name != "content"]
+        if others:
+            batches, n = [], 0
+            for b in f.iter_batches(64 * k, columns=others):
+                batches.append(b)
+                n += b.num_rows
+                if n >= 64 * k:
+                    break
+            kept.update({name: [b.column(name) for b in batches] for name in others})
         step = max(len(head) // k, 4096)  # a head of ≤ k pieces tiles whole
         pieces += [head[j * step : j * step + 4096] for j in range(k)]
-        rows.append(pa.Table.from_batches(batches, f.schema_arrow).slice(0, 64 * k))
+        columns = [pa.chunked_array(kept[fl.name], fl.type).slice(0, 64 * k) for fl in schema]
+        rows.append(pa.Table.from_arrays(columns, schema=schema))
     sample = pa.concat_tables(rows, promote_options="permissive") if rows else None
     return b"".join(pieces), sample if sample is not None and sample.num_rows else None
 
 
 def codec_plan(paths: list[str]) -> dict:
-    """Column → (codec, FSST table or None, sample estimates), chosen
-    ONCE for the corpus by ``container._plan_column`` on
-    ``corpus_sample``'s rows, lexsorted as a partition is; ``content``
-    uses the table trained on the content pieces.  Every reduce of a
-    hashed encode then only encodes (``hash_exchange``)."""
+    """String-like column → (codec, FSST table or None, sample
+    estimates), chosen ONCE for the corpus by ``container._plan_column``
+    on ``corpus_sample``'s rows, lexsorted as a partition is;
+    ``content`` uses the table trained on the content pieces.  Every
+    reduce of a hashed encode then only encodes (``hash_exchange``).
+
+    Only string-like columns are planned: their candidates (rle, dict,
+    fsst, plain) encode any value, so a choice made on file heads holds
+    for every row.  An integer column's ``for_bitpack`` cannot hold a
+    uint64 value of 2**63 or more that the heads may not show, so other
+    columns keep selecting per partition."""
     from ..codecs.fsst import FsstCodec
     from ..stages.encoder import lexsort
     from ..state.container import _plan_column
@@ -200,9 +222,44 @@ def codec_plan(paths: list[str]) -> dict:
     return out
 
 
-# the cached plan's format, part of its cache key: a plan pickled in
-# another shape (one without ``codecs``) is rebuilt, never loaded
+def _needs_codec_plan(paths: list[str], codec_overrides: dict | None) -> bool:
+    """Whether an encode of these files leaves some string-like column
+    to the codec plan; the fast profile overrides every one."""
+    import pyarrow.parquet as pq
+
+    from ..codecs import base
+
+    if not paths:
+        return False
+    return any(base.is_string_like(fl.type) and fl.name not in (codec_overrides or {})
+               for fl in pq.read_schema(paths[0]))
+
+
+# the cached plan's format: a plan pickled in another shape (one
+# without ``codecs``) is rebuilt, never loaded
 PLAN_VERSION = 2
+
+
+@functools.cache
+def _plan_code_hash() -> str:
+    """A digest of the code a cached plan's choices come from: every
+    codec module, the partitioner, the selector's per-column plan and
+    the sample.  It is part of the cache key, so a plan cached by other
+    code is rebuilt, not reused with stale choices or tables."""
+    import hashlib
+    import inspect
+
+    from .. import codecs
+    from ..state.container import _plan_column
+
+    h = hashlib.sha256()
+    d = os.path.dirname(codecs.__file__)
+    for name in sorted(n for n in os.listdir(d) if n.endswith(".py")):
+        with open(os.path.join(d, name), "rb") as f:
+            h.update(f.read())
+    for obj in (partitioner, _plan_column, corpus_sample, codec_plan):
+        h.update(inspect.getsource(obj).encode())
+    return h.hexdigest()[:12]
 
 
 def _plan_cache_file(corpus_path: str, target_partition_bytes: int | None) -> str:
@@ -214,40 +271,53 @@ def _plan_cache_file(corpus_path: str, target_partition_bytes: int | None) -> st
         import ray as _ray
 
         key = f"{fp}-auto{int(_ray.cluster_resources().get('CPU', 8))}"
-    return os.path.join(cache_dir, f"{key}-v{PLAN_VERSION}.pkl")
+    return os.path.join(cache_dir, f"{key}-v{PLAN_VERSION}-{_plan_code_hash()}.pkl")
 
 
-def _cached_plan(corpus_path: str, target_partition_bytes: int | None):
+def _cached_plan(corpus_path: str, target_partition_bytes: int | None,
+                 codec_overrides: dict | None = None):
     """Partition plans, codec plan included, are deterministic functions
     of (corpus, target); cache them on disk so reruns/resumes skip the
     size pre-pass and the codec selection — the analog of skar reopening
     its stored folder index instead of rescanning
     (skar/src/db/mod.rs:68-86).  Pickle keeps each FSST
     table's trained chain order, so a cached table writes the bytes a
-    cold one does."""
+    cold one does.
+
+    The codec plan is made only when ``codec_overrides`` leave some
+    string-like column to it: a fast-profile encode samples and trains
+    nothing, and leaves ``codecs`` None for the first encode that needs
+    them to fill in."""
     import pickle
 
     cache_file = _plan_cache_file(corpus_path, target_partition_bytes)
+    paths = partitioner.input_paths(corpus_path)
+    need_codecs = _needs_codec_plan(paths, codec_overrides)
+    plan = None
     if os.path.exists(cache_file):
         with open(cache_file, "rb") as f:
             cached = pickle.load(f)
         if cached[0] == PLAN_VERSION:  # an older shape has no version in front
-            return cached[1:]
+            plan, target_partition_bytes = cached[1:]
+            if plan.codecs is not None or not need_codecs:
+                return plan, target_partition_bytes
     from concurrent.futures import ThreadPoolExecutor
 
     # the codec plan reads a few file heads in this process while the
     # size pre-pass waits on its Ray Data job
     with ThreadPoolExecutor(1) as pool:
-        codecs = pool.submit(codec_plan, partitioner.input_paths(corpus_path))
-        sizes = partitioner.repo_size_prepass_fast(corpus_path)
-        if target_partition_bytes is None:
-            import pyarrow.compute as pc
+        codecs = pool.submit(codec_plan, paths) if need_codecs else None
+        if plan is None:
+            sizes = partitioner.repo_size_prepass_fast(corpus_path)
+            if target_partition_bytes is None:
+                import pyarrow.compute as pc
 
-            target_partition_bytes = _auto_partition_bytes(
-                int(pc.sum(sizes.column("bytes")).as_py() or 0)
-            )
-        plan = partitioner.make_plan(sizes, target_partition_bytes)
-        plan.codecs = codecs.result()
+                target_partition_bytes = _auto_partition_bytes(
+                    int(pc.sum(sizes.column("bytes")).as_py() or 0)
+                )
+            plan = partitioner.make_plan(sizes, target_partition_bytes)
+        if codecs is not None:
+            plan.codecs = codecs.result()
     tmp = cache_file + ".tmp"
     with open(tmp, "wb") as f:
         pickle.dump((PLAN_VERSION, plan, target_partition_bytes), f)
@@ -307,7 +377,7 @@ def run_encode_job(
         )
         summary = pa.Table.from_pandas(enc.to_pandas())
     else:
-        plan, target_partition_bytes = _cached_plan(corpus_path, target_partition_bytes)
+        plan, target_partition_bytes = _cached_plan(corpus_path, target_partition_bytes, codec_overrides)
         # resume only against manifests from the SAME plan — a different
         # partition plan renumbers pkeys (skar's analog: block-range keys
         # are plan-independent; ours must be fingerprint-guarded)

@@ -27,9 +27,10 @@ plus the affected containers; compact passes every source container.
 When every source is a parquet file (the encode job, and an append
 whose delta touches no existing partition), every reduce encodes with
 the partition plan's codec plan (``PartitionPlan.codecs``: one codec
-and FSST table per column, chosen once per corpus on a file-stratified
-sample, see ``encode_job.codec_plan``) and selects nothing; a
-``codec_overrides`` entry still wins for its column.  A job with a
+and FSST table per string-like column, chosen once per corpus on a
+file-stratified sample, see ``encode_job.codec_plan``) and selects
+nothing for those columns; a ``codec_overrides`` entry still wins for
+its column, and other columns select per partition.  A job with a
 container source selects and trains per partition, as the sample would
 not cover the decoded rows.
 

@@ -12,8 +12,9 @@ the hash exchange's reduce task), mirroring the reference's per-folder flush
 3. slice into size-capped chunks by cumulative content bytes (row-group
    slicing analog, write_parquet.rs:83-103) so FSST/zstd buffers stay
    bounded;
-4. per column: the corpus's planned codec (``codec_plan``) or one
-   auto-selected for this partition; encode chunk by chunk;
+4. per column: the corpus's planned codec (``codec_plan``, string-like
+   columns) or one auto-selected for this partition; encode chunk by
+   chunk;
 5. write `part-NNNNNN.skarc` + manifest row atomically (temp+rename,
    skar_runner.rs:296-321).
 

@@ -46,8 +46,9 @@ class PartitionPlan:
     repos: dict[str, tuple[int, int]]
     n_partitions: int
     target_bytes: int
-    # column -> (codec, FSST table or None, sample estimates), chosen once
-    # per corpus (encode_job.codec_plan); None: every partition selects
+    # string-like column -> (codec, FSST table or None, sample estimates),
+    # chosen once per corpus (encode_job.codec_plan); None: not made yet
+    # (a fast-profile encode needs none), every partition selects
     codecs: dict | None = None
 
 

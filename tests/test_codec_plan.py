@@ -50,7 +50,8 @@ def test_plan_cache_rebuilds_an_old_shape_pickle(ray_session, corpus):
     cache_file = encode_job._plan_cache_file(corpus, TARGET)
     old = PartitionPlan(repos={"r": (0, 1)}, n_partitions=1, target_bytes=TARGET)
     del old.__dict__["codecs"]
-    for path in (cache_file, cache_file.replace(f"-v{encode_job.PLAN_VERSION}.pkl", ".pkl")):
+    unversioned = cache_file.replace(f"-v{encode_job.PLAN_VERSION}-{encode_job._plan_code_hash()}.pkl", ".pkl")
+    for path in (cache_file, unversioned):
         with open(path, "wb") as f:
             pickle.dump((old, TARGET), f)
     plan, target = encode_job._cached_plan(corpus, TARGET)
@@ -59,6 +60,18 @@ def test_plan_cache_rebuilds_an_old_shape_pickle(ray_session, corpus):
     with open(cache_file, "rb") as f:
         version, cached, _ = pickle.load(f)
     assert version == encode_job.PLAN_VERSION and set(cached.codecs) == set(plan.codecs)
+
+
+def test_plan_cache_key_follows_the_codec_code(corpus, monkeypatch):
+    """A plan cached by other codec or selector code is not loaded: the
+    code's digest is part of the cache key."""
+    before = encode_job._plan_cache_file(corpus, TARGET)
+    encode_job._plan_code_hash.cache_clear()
+    monkeypatch.setattr(encode_job, "codec_plan", lambda paths: {})
+    try:
+        assert encode_job._plan_cache_file(corpus, TARGET) != before
+    finally:
+        encode_job._plan_code_hash.cache_clear()
 
 
 def test_cold_and_cached_plans_write_identical_stores(ray_session, corpus, tmp_path, monkeypatch):
@@ -153,22 +166,54 @@ def test_job_json_records_plan_estimates_and_realized_bytes(ray_session, corpus,
     assert job["enc_bytes"] == sum(s.column("enc_bytes").to_pylist())
 
 
-def test_corpus_sample_is_bounded_and_stratified(tmp_path):
-    """Each stratum file gives its first 64 rows, 1024 in all; one file
-    standing for all 16 strata gives its first 1024 rows, here all 500."""
+def test_fast_encode_leaves_the_codec_plan_to_the_next_encode(ray_session, corpus, tmp_path):
+    """A fast-profile encode caches its partition plan without codecs;
+    the next max-profile encode makes them, caches them and encodes
+    with them."""
+    def cached_codecs():
+        with open(encode_job._plan_cache_file(corpus, TARGET), "rb") as f:
+            return pickle.load(f)[1].codecs
+
+    _encode(corpus, str(tmp_path / "fast"), profile="fast")
+    assert cached_codecs() is None
+    out = str(tmp_path / "max")
+    _encode(corpus, out)
+    codecs = cached_codecs()
+    assert set(codecs) == {"repo", "path", "commit", "lang", "content"}
+    for m in manifest.scan_manifests(out).values():
+        header, _ = container.read_header(os.path.join(out, m.data_file))
+        for cm in header["chunks"][0]["columns"]:
+            assert cm["codec"] == codecs[cm["name"]][0] and cm["estimates"] == {}
+
+
+def test_non_string_columns_select_per_partition(ray_session, tmp_path):
+    """The plan covers string-like columns only.  An extra uint64 column
+    whose file head holds small values and whose later rows reach 2**63
+    (more than ``for_bitpack`` can hold) selects per partition, and the
+    store keeps every value."""
     import pyarrow.parquet as pq
 
-    paths = []
-    for j in range(20):
-        p = str(tmp_path / f"f{j:02d}.parquet")
-        pq.write_table(pa.table({"repo": [f"r{j}"] * 500, "content": [f"{j}:{i}" for i in range(500)]}), p)
-        paths.append(p)
-    _, rows = encode_job.corpus_sample(paths)
-    assert rows.num_rows == 16 * 64
-    strata = sorted({i * 20 // 16 for i in range(16)})
-    assert rows.column("content").to_pylist() == [f"{j}:{i}" for j in strata for i in range(64)]
-    _, one = encode_job.corpus_sample(paths[:1])
-    assert one.num_rows == 500  # the whole 500-row head: fewer than 16 x 64 rows
+    from skar_ray.corpus import read_corpus_table
+    from skar_ray.pipelines.decode_job import decoded_dataset
+
+    t = read_corpus_table(os.path.join(ensure_corpus(2000), "corpus.parquet"))
+    u = [i if i < 1024 else (1 << 63) + i for i in range(t.num_rows)]
+    t = t.append_column("u", pa.array(u, pa.uint64()))
+    corpus = str(tmp_path / "corpus")
+    os.makedirs(corpus)
+    pq.write_table(t, os.path.join(corpus, "part-0000.parquet"))
+    out = str(tmp_path / "store")
+    _encode(corpus, out)
+    plan, _ = encode_job._cached_plan(corpus, TARGET)
+    assert "u" not in plan.codecs and set(plan.codecs) == {"repo", "path", "commit", "lang", "content"}
+    for m in manifest.scan_manifests(out).values():
+        header, _ = container.read_header(os.path.join(out, m.data_file))
+        (cm,) = [c for c in header["chunks"][0]["columns"] if c["name"] == "u"]
+        assert cm["estimates"]  # selected for this partition
+    got = decoded_dataset(out, columns=["u"]).to_pandas()["u"].tolist()
+    assert sorted(got) == u
+    v = run_verify_job(corpus, out)
+    assert v["rows_match"] and v["digests_verified"]
 
 
 def test_append_uses_the_plan_only_without_container_sources(ray_session, corpus, tmp_path):

@@ -176,29 +176,68 @@ def test_hashed_encode_shares_one_content_table(encoded):
 
 def test_content_sample_is_stratified_by_input_file(tmp_path):
     """Piece i (4 KiB) comes from input file ``i * n // 16``; a file's
-    pieces are spread along the first 1 MiB of its content."""
-    def write(name, rows):
+    pieces are spread along the first 1 MiB of its content.  The row
+    sample is each stratum's first 64 rows of the string-like columns,
+    1024 in all; one file standing for all 16 strata gives its first
+    1024 rows, here all 301."""
+    def write(name, rows, **extra):
         path = str(tmp_path / name)
-        pq.write_table(pa.table({"content": pa.array(rows, pa.large_string())}), path)
+        pq.write_table(pa.table({"content": pa.array(rows, pa.large_string()), **extra}), path)
         return path
 
-    many = [write(f"a{j:02d}.parquet", [chr(65 + j) * 5000, "tail"]) for j in range(20)]
-    assert corpus_sample(many)[0] == b"".join(chr(65 + i * 20 // 16).encode() * 4096 for i in range(16))
+    many = [write(f"a{j:02d}.parquet", [chr(65 + j) * 5000] + [f"{j}:{i}" for i in range(300)],
+                  n=pa.array(range(301), pa.int64()))
+            for j in range(20)]
+    pieces, rows = corpus_sample(many)
+    assert pieces == b"".join(chr(65 + i * 20 // 16).encode() * 4096 for i in range(16))
+    strata = [i * 20 // 16 for i in range(16)]
+    assert rows.column_names == ["content"]  # the int column is not sampled
+    assert rows.column("content").to_pylist() == [
+        v for j in strata for v in [chr(65 + j) * 5000] + [f"{j}:{i}" for i in range(63)]
+    ]
+    assert corpus_sample(many[:1])[1].num_rows == 301
     text = "".join(f"{i:07d}\n" for i in range(1 << 18))  # 2 MiB in one row
     step = (1 << 20) // 8
     want = "".join(text[j * step : j * step + 4096] for j in range(8)).encode()
     assert corpus_sample([write(f"b{j}.parquet", [text]) for j in range(2)])[0] == want * 2
 
 
+def test_corpus_sample_memory_is_bounded_on_null_content(tmp_path):
+    """A file whose content is all null never fills the 1 MiB content
+    head, so its content is read to the end; the sample still holds
+    only its 1024 rows of the other columns, not the file's 19 MB of
+    ``path`` values."""
+    import gc
+
+    n = 40_000
+    path = str(tmp_path / "null_content.parquet")
+    pq.write_table(pa.table({"content": pa.nulls(n, pa.large_string()),
+                             "path": [f"{i:08d}" * 60 for i in range(n)]}), path)
+    default = pa.default_memory_pool()
+    pool = pa.proxy_memory_pool(default)
+    pa.set_memory_pool(pool)
+    try:
+        pieces, rows = corpus_sample([path])
+        paths = rows.column("path").to_pylist()
+        del rows  # every buffer of the pool is freed before the pool is
+    finally:
+        pa.set_memory_pool(default)
+    gc.collect()
+    assert pool.bytes_allocated() == 0
+    assert pieces == b"" and paths == [f"{i:08d}" * 60 for i in range(1024)]
+    assert pool.max_memory() < 4 << 20
+
+
 def test_fast_profile_trains_no_table(ray_session, corpus_dir, tmp_path, monkeypatch):
-    """The fast profile overrides every column, so once the plan is
-    made, neither the driver nor a reduce task calls ``make_table``."""
+    """The fast profile overrides every column, so neither the driver
+    nor a reduce task calls ``make_table``, even on a cold plan cache
+    (a private corpus copy has a plan-cache key no test has warmed)."""
     import ray
 
     from skar_ray.pipelines import hash_exchange
 
-    corpus = os.path.join(corpus_dir, "corpus.parquet")
-    _cached_plan(corpus, 2 << 20)
+    corpus = str(tmp_path / "corpus.parquet")
+    shutil.copytree(os.path.join(corpus_dir, "corpus.parquet"), corpus)
     driver_calls = []
     real_make_table = FsstCodec.make_table
     monkeypatch.setattr(FsstCodec, "make_table",
