@@ -41,8 +41,9 @@ def run_compact_job(
 ) -> dict:
     os.makedirs(dest_dir, exist_ok=True)
     sizes = store_group_bytes(src_dir, "repo", "content")
-    plan = partitioner.make_plan(
-        pa.table({"repo": sizes["value"], "bytes": sizes["total_bytes"]}), target_partition_bytes
+    plan = partitioner.make_plan(  # a repo of NULL contents weighs 0 bytes
+        pa.table({"repo": sizes["value"], "bytes": sizes["total_bytes"].fillna(0)}),
+        target_partition_bytes,
     )
     fingerprint = f"compact:{src_dir}:{target_partition_bytes}"
     src_manifests = manifest_mod.scan_manifests(src_dir)

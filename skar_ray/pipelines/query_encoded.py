@@ -33,6 +33,7 @@ import ray.data
 
 from ..stages.decoder import decode_stage
 from ..state import manifest as manifest_mod
+from ..state.pruning import clause_compute
 
 Clause = tuple[str, str, Any]
 DNF = list[list[Clause]]
@@ -54,18 +55,12 @@ def prune_partitions(manifests: dict[int, manifest_mod.PartitionManifest], dnf: 
     return keep
 
 
-# single op-dispatch table for DNF clauses, shared with the encoded-form
-# evaluators (state/pruning.clause_compute) — kept under the old name for
-# in-package consumers (stats.py)
-from ..state.pruning import clause_compute as _clause_compute
-
-
 def _apply_dnf(t: pa.Table, dnf: DNF) -> pa.Table:
     masks = []
     for conj in dnf:
         m = None
         for col, op, value in conj:
-            cm = _clause_compute(t.column(col), op, value)
+            cm = clause_compute(t.column(col), op, value)
             m = cm if m is None else pc.and_kleene(m, cm)
         masks.append(m)
     mask = masks[0]
@@ -376,9 +371,9 @@ def store_topk(
          without reading a byte; the rest sort by their value bound;
       2. wave loop: the shortest bound-ordered prefix expected to hold
          ≥ k rows decodes (with the DNF row mask evaluated on the
-         encoded form where codecs allow — ``read_container
-         (apply_dnf=True)``); each task returns only its LOCAL top-k
-         (value, id) pairs, so the driver merge is chunks×k-sized.
+         encoded form where codecs allow — ``Chunk.mask``); each task
+         returns only its LOCAL top-k (value, id) pairs, so the driver
+         merge is chunks×k-sized.
          Once k rows are collected the exact running k-th value
          ``v_k`` prunes every remaining chunk whose bound cannot beat
          it (max < v_k descending / min > v_k ascending); survivors
@@ -386,8 +381,9 @@ def store_topk(
          just pulls the next prefix — the loop never over-reads when
          stats are tight and never under-delivers when they are not.
 
-    Unfiltered chunks use the FoR int fast path (``encoded_int_values``)
-    for the value stream; ``value_col`` must be numeric.  Ties break by
+    Chunks are read through ``container.read_chunks``; the value and id
+    streams come from the FoR int fast path (``Chunk.values``) where the
+    codec allows it; ``value_col`` must be numeric.  Ties break by
     ``id_col`` ascending (ORDER BY v DESC, id).  Null AND NaN values
     sort last, i.e. never enter the top-k while k ≤ matching real rows
     — DuckDB's default NULLS LAST (note DuckDB itself sorts NaN FIRST
@@ -403,9 +399,7 @@ def store_topk(
 
     import ray
 
-    from ..codecs import auto as codecs_auto
     from ..state import container
-    from ..state.pruning import dnf_possible
 
     if k <= 0:
         raise ValueError(f"store_topk needs k >= 1, got {k}")
@@ -417,7 +411,7 @@ def store_topk(
 
     @ray.remote
     def chunk_bounds(path: str) -> tuple:
-        header, _ = container.read_header(path)
+        header, blob_start = container.read_header(path)
         types = dict(header["schema"])
         for col in (value_col, id_col):
             if col not in types:
@@ -426,30 +420,32 @@ def store_topk(
             raise ValueError(
                 f"store_topk needs a numeric value_col; {value_col!r} is {types[value_col]}"
             )
-        out, dropped = [], 0
-        for ci, ch in enumerate(header["chunks"]):
+        for ch in header["chunks"]:
             cms = {c["name"]: c for c in ch["columns"]}
             if cms[id_col]["meta"].get("has_nulls"):  # every codec records the flag
                 raise ValueError(f"store_topk needs a non-null id_col; {id_col!r} has nulls in {path}")
-            if filters and not dnf_possible(container._chunk_stats_of(ch), filters):
-                dropped += 1
-                continue
-            st = cms[value_col].get("minmax")
-            if isinstance(st, dict) and "min" in st and "max" in st:
-                out.append((ci, st["min"], st["max"], ch["n_rows"]))
-            else:
-                out.append((ci, None, None, ch["n_rows"]))
-        return out, dropped
+        out = []
+        for chunk in container.read_chunks(path, dnf=filters, header_info=(header, blob_start)):
+            st = chunk.stats(value_col)
+            out.append((chunk.index, st.get("min"), st.get("max"), chunk.n_rows))
+        return out, len(header["chunks"]) - len(out)
 
     @ray.remote
     def local_topk(path: str, cis: list) -> tuple:
         import numpy as np
         import pyarrow.compute as pc
 
-        header, blob_start = container.read_header(path)
         vs, ids = [], []
-
-        def push(v, i):
+        for chunk in container.read_chunks(path, dnf=filters, chunk_indices=cis):
+            mask = chunk.mask(filters)
+            if mask is not None and not mask.any():
+                continue
+            v, i = chunk.values(value_col), chunk.values(id_col)
+            keep = pc.is_valid(v)
+            if mask is not None:
+                keep = pc.and_(keep, pa.array(mask))
+            if not pc.all(keep).as_py():
+                v, i = pc.filter(v, keep), pc.filter(i, keep)
             vn = np.asarray(v.to_numpy(zero_copy_only=False))
             im = np.asarray(i.to_numpy(zero_copy_only=False))
             if vn.dtype.kind == "f":
@@ -463,38 +459,6 @@ def store_topk(
             if len(vn):
                 vs.append(vn)
                 ids.append(im)
-
-        if filters:
-            t = container.read_container(
-                path, columns=[value_col, id_col], chunk_indices=cis,
-                dnf=filters, apply_dnf=True,
-                header_info=(header, blob_start),
-            )
-            v, i = t.column(value_col), t.column(id_col)
-            keep = pc.is_valid(v)
-            if not pc.all(keep).as_py():
-                v, i = pc.filter(v, keep), pc.filter(i, keep)
-            if len(v):
-                push(v, i)
-        else:
-            with open(path, "rb") as f:
-                def col_arr(ch, col):
-                    cm = next(c for c in ch["columns"] if c["name"] == col)
-                    f.seek(blob_start + cm["offset"])
-                    blob = f.read(cm["length"])
-                    iv = container.encoded_int_values(blob, cm)
-                    if iv is not None:
-                        return pa.array(np.asarray(iv, dtype=np.int64))
-                    return codecs_auto.decode_column(blob, cm["meta"], cm["page"], cm["payload_len"])
-
-                for ci in cis:
-                    ch = header["chunks"][ci]
-                    v = col_arr(ch, value_col)
-                    i = col_arr(ch, id_col)
-                    keep = pc.is_valid(v)
-                    if not pc.all(keep).as_py():
-                        v, i = pc.filter(v, keep), pc.filter(i, keep)
-                    push(v, i)
         if not vs:
             return np.array([]), np.array([])
         v = np.concatenate(vs)

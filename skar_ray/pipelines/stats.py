@@ -2,14 +2,23 @@
 exposes (db/mod.rs:217-305 range scans), as an operator: per-column
 codec choices and byte accounting aggregated over a store's manifests
 (driver-small — one row per partition × column), plus partition-level
-health (row counts, digests present, fingerprints)."""
+health (row counts, digests present, fingerprints) and the encoded-form
+aggregates (value counts, grouped byte totals, pair counts, grouped
+min/max/sum, filtered group counts, distinct).  Each aggregate is one
+Ray task per partition reading its container through the one chunk
+reader, ``container.read_chunks``, so every aggregate follows the same
+NULL rule (DuckDB's): a NULL group key is a group of its own, and a
+NULL value adds nothing to a sum or a byte total."""
 
 from __future__ import annotations
 
+import operator
 import os
 
+import numpy as np
 import pandas as pd
 
+from ..state import container
 from ..state import manifest as manifest_mod
 
 
@@ -34,492 +43,210 @@ def store_stats(out_dir: str) -> pd.DataFrame:
     )
 
 
+def _per_partition(out_dir: str, part_fn) -> list:
+    """``part_fn(container path)`` as one Ray task per partition of the
+    store; the partial results in partition order."""
+    import ray
+
+    task = ray.remote(part_fn)
+    ms = manifest_mod.scan_manifests(out_dir)
+    return ray.get([task.remote(os.path.join(out_dir, m.data_file)) for _, m in sorted(ms.items())])
+
+
+def _merge_rec(cur: tuple | None, rec: tuple) -> tuple:
+    """Merge two (n[, sum[, min, max]]) partials; None = SQL NULL (no
+    non-NULL value in that partial) and is absorbed by any non-NULL."""
+    if cur is None:
+        return rec
+    return tuple(
+        b if a is None else a if b is None else f(a, b)
+        for f, a, b in zip((operator.add, operator.add, min, max), cur, rec)
+    )
+
+
+def _fold_groups(agg: dict, codes, keys: list, values=None, valid=None,
+                 minmax: bool = False) -> None:
+    """Merge one chunk's per-group partials into ``agg`` (key → (n[,
+    sum[, min, max]])).  ``n`` counts every row of the group; the
+    aggregates over ``values`` skip rows whose ``valid`` is False and
+    are None (SQL NULL) for a group without a valid row.  Sums stay
+    int64 (``np.add.at`` on an int64 accumulator, never float weights);
+    every accumulator is key-count-sized."""
+    k = len(keys)
+    n = n_valid = np.bincount(codes, minlength=k)
+    cols = []
+    if values is not None:
+        if valid is not None:
+            codes, values = codes[valid], values[valid]
+        n_valid = np.bincount(codes, minlength=k)
+        cols.append(np.zeros(k, dtype=np.int64))
+        np.add.at(cols[0], codes, values)
+        if minmax:
+            cols += [np.full(k, np.iinfo(np.int64).max, dtype=np.int64),
+                     np.full(k, np.iinfo(np.int64).min, dtype=np.int64)]
+            np.minimum.at(cols[1], codes, values)
+            np.maximum.at(cols[2], codes, values)
+    for i in np.flatnonzero(n).tolist():
+        aggs = tuple(int(c[i]) if n_valid[i] else None for c in cols)
+        agg[keys[i]] = _merge_rec(agg.get(keys[i]), (int(n[i]),) + aggs)
+
+
+def _group_frame(parts: list, key_cols: list[str], agg_cols: list[str]) -> pd.DataFrame:
+    """Merge per-partition group partials into one row per group,
+    sorted by key with NULL last.  Each aggregate column is int64, or
+    pandas' nullable Int64 when some group's value is SQL NULL."""
+    total: dict = {}
+    for part in parts:
+        for key, rec in part.items():
+            total[key] = _merge_rec(total.get(key), rec)
+    keys = list(total)
+    cols = {key_cols[0]: keys} if len(key_cols) == 1 else {
+        c: [key[j] for key in keys] for j, c in enumerate(key_cols)
+    }
+    for j, c in enumerate(agg_cols):
+        cols[c] = [rec[j] for rec in total.values()]
+    out = pd.DataFrame(cols).sort_values(key_cols, na_position="last").reset_index(drop=True)
+    for c in agg_cols:
+        out[c] = out[c].astype("int64" if out[c].notna().all() else "Int64")
+    return out
+
+
 def store_value_counts(out_dir: str, column: str) -> pd.DataFrame:
     """GROUP BY ``column`` → COUNT(*) over an encoded store WITHOUT
-    decoding the column: one Ray task per partition seeks straight to
-    the column's chunk blobs and counts on the encoded form
-    (``encoded_value_counts`` — dict index bincount / rle run-length
-    sums), falling back to decode+value_counts for codecs that don't
-    support pushdown.  Per-partition results are value-cardinality-
-    sized dicts, merged on the driver (same scale class as the
-    manifests themselves).
+    decoding the column: one Ray task per partition reads the column's
+    chunks through ``container.read_chunks`` and counts its group codes
+    (``Chunk.group_codes`` — the dict/rle code streams, decode +
+    factorize for other codecs; a NULL key is a group of its own).
+    Per-partition results are value-cardinality-sized dicts, merged on
+    the driver (same scale class as the manifests themselves).
 
     Contract: the GROUP cardinality must be result-sized — it IS the
     returned result (lang, repo, event_type...).  Grouping by a
     near-unique key (e.g. ``commit``) makes the result corpus-sized;
     that shape belongs on the decode + ``bucketed_group_apply``
     exchange path with a written (not returned) output."""
-    import ray
-
-    from ..codecs import auto
-    from ..state import container
-
-    ms = manifest_mod.scan_manifests(out_dir)
-
-    @ray.remote
-    def part_counts(path: str) -> dict:
-
-        import pyarrow.compute as pc
-
-        header, blob_start = container.read_header(path)
+    def part(path: str) -> dict:
         agg: dict = {}
-        with open(path, "rb") as f:
-            for ch in header["chunks"]:
-                cm = next(c for c in ch["columns"] if c["name"] == column)
-                f.seek(blob_start + cm["offset"])
-                blob = f.read(cm["length"])
-                d = container.encoded_value_counts(blob, cm)
-                if d is None:
-                    arr = auto.decode_column(blob, cm["meta"], cm["page"], cm["payload_len"])
-                    vc = pc.value_counts(arr)
-                    d = {r["values"]: r["counts"] for r in vc.to_pylist()}
-                for v, c in d.items():
-                    agg[v] = agg.get(v, 0) + c
+        for chunk in container.read_chunks(path):
+            _fold_groups(agg, *chunk.group_codes(column))
         return agg
 
-
-    refs = [
-        part_counts.remote(os.path.join(out_dir, m.data_file))
-        for _, m in sorted(ms.items())
-    ]
-    total: dict = {}
-    for agg in ray.get(refs):
-        for v, c in agg.items():
-            total[v] = total.get(v, 0) + c
-    out = pd.DataFrame(
-        {"value": list(total.keys()), "n": list(total.values())}
-    )
-    return out.sort_values("value").reset_index(drop=True).astype({"n": "int64"})
+    return _group_frame(_per_partition(out_dir, part), ["value"], ["n"])
 
 
 def store_group_bytes(out_dir: str, group_col: str, value_col: str) -> pd.DataFrame:
     """GROUP BY ``group_col`` → COUNT(*), SUM(byte length of
     ``value_col``) over an encoded store with NO string decode: group
-    keys come from the dict/rle code streams (``encoded_group_codes``),
-    byte lengths from the value column's encoded sidecar
-    (``encoded_byte_lengths`` — fsst's FoR-packed length stream, plain's
-    stored lengths, dict/rle's dictionary lengths).  The corpus-sized
-    value bytes never leave disk; decode fallbacks keep exactness for
-    unsupported codecs.  One Ray task per partition, value-cardinality-
-    sized merges (same result-sized-group contract as
-    ``store_value_counts``)."""
-    import ray
-
-    from ..codecs import auto
-    from ..state import container
-
-    ms = manifest_mod.scan_manifests(out_dir)
-
-    @ray.remote
-    def part_sums(path: str) -> dict:
-        import numpy as np
-        import pyarrow.compute as pc
-
-        header, blob_start = container.read_header(path)
+    keys come from the dict/rle code streams, byte lengths from the
+    value column's encoded sidecar (``Chunk.byte_lengths`` — fsst's
+    FoR-packed length stream, plain's stored lengths, dict/rle's
+    dictionary lengths).  The corpus-sized value bytes never leave
+    disk; decode fallbacks keep exactness for unsupported codecs.  A
+    NULL value adds nothing to its group's total, which is NULL when
+    the group has no non-NULL value (DuckDB's ``sum(strlen(v))``).
+    One Ray task per partition, value-cardinality-sized merges (same
+    result-sized-group contract as ``store_value_counts``)."""
+    def part(path: str) -> dict:
         agg: dict = {}
-        with open(path, "rb") as f:
-
-            def blob_of(cm):
-                f.seek(blob_start + cm["offset"])
-                return f.read(cm["length"])
-
-            for ch in header["chunks"]:
-                metas = {cm["name"]: cm for cm in ch["columns"]}
-                gcm, vcm = metas[group_col], metas[value_col]
-                gc = container.encoded_group_codes(blob_of(gcm), gcm)
-                if gc is None:  # fallback: decode group keys + factorize
-                    arr = auto.decode_column(
-                        blob_of(gcm), gcm["meta"], gcm["page"], gcm["payload_len"]
-                    )
-                    enc = pc.dictionary_encode(arr)
-                    codes = np.asarray(enc.indices).astype(np.int64)
-                    dict_vals = enc.dictionary
-                else:
-                    codes, dict_vals = gc
-                lens = container.encoded_byte_lengths(blob_of(vcm), vcm)
-                if lens is None:  # fallback: decode values + byte lengths
-                    varr = auto.decode_column(
-                        blob_of(vcm), vcm["meta"], vcm["page"], vcm["payload_len"]
-                    )
-                    lens = np.asarray(pc.binary_length(varr)).astype(np.int64)
-                k = len(dict_vals)
-                n_rows = np.bincount(codes, minlength=k)
-                n_bytes = np.zeros(k, dtype=np.int64)
-                np.add.at(n_bytes, codes, lens)
-                for v, r, b in zip(dict_vals.to_pylist(), n_rows.tolist(), n_bytes.tolist()):
-                    if r:
-                        cur = agg.get(v, (0, 0))
-                        agg[v] = (cur[0] + r, cur[1] + b)
+        for chunk in container.read_chunks(path):
+            _fold_groups(agg, *chunk.group_codes(group_col), *chunk.byte_lengths(value_col))
         return agg
 
-
-    refs = [
-        part_sums.remote(os.path.join(out_dir, m.data_file))
-        for _, m in sorted(ms.items())
-    ]
-    total: dict = {}
-    for agg in ray.get(refs):
-        for v, (r, b) in agg.items():
-            cur = total.get(v, (0, 0))
-            total[v] = (cur[0] + r, cur[1] + b)
-    out = pd.DataFrame(
-        {
-            "value": list(total.keys()),
-            "n": [r for r, _ in total.values()],
-            "total_bytes": [b for _, b in total.values()],
-        }
-    )
-    return out.sort_values("value").reset_index(drop=True).astype(
-        {"n": "int64", "total_bytes": "int64"}
-    )
+    return _group_frame(_per_partition(out_dir, part), ["value"], ["n", "total_bytes"])
 
 
 def store_group_pair_count(out_dir: str, col_a: str, col_b: str) -> pd.DataFrame:
     """Composite GROUP BY (``col_a``, ``col_b``) → COUNT(*) on the
-    encoded form: both key columns stay as their dict/rle code streams,
-    combined per chunk as ``code_a · |dict_b| + code_b`` and bincounted
-    — neither value column decodes (same result-sized-group contract
-    as ``store_value_counts``; decode+factorize fallback per column)."""
-    import ray
-
-    from ..codecs import auto
-    from ..state import container
-
-    ms = manifest_mod.scan_manifests(out_dir)
-
-    @ray.remote
-    def part_counts(path: str) -> dict:
-        import numpy as np
-        import pyarrow.compute as pc
-
-        header, blob_start = container.read_header(path)
+    encoded form: both key columns stay as their group code streams,
+    combined per chunk as ``code_a · |keys_b| + code_b`` — neither value
+    column decodes on dict/rle codecs (same result-sized-group contract
+    as ``store_value_counts``; a NULL in either key is a key value of
+    its own)."""
+    def part(path: str) -> dict:
         agg: dict = {}
-        with open(path, "rb") as f:
-
-            def blob_of(cm):
-                f.seek(blob_start + cm["offset"])
-                return f.read(cm["length"])
-
-            def codes_of(cm):
-                gc = container.encoded_group_codes(blob_of(cm), cm)
-                if gc is not None:
-                    return gc
-                arr = auto.decode_column(
-                    blob_of(cm), cm["meta"], cm["page"], cm["payload_len"]
-                )
-                enc = pc.dictionary_encode(arr)
-                return np.asarray(enc.indices).astype(np.int64), enc.dictionary
-
-            for ch in header["chunks"]:
-                metas = {cm["name"]: cm for cm in ch["columns"]}
-                ca, da = codes_of(metas[col_a])
-                cb, db = codes_of(metas[col_b])
-                kb = len(db)
-                counts = np.bincount(ca * kb + cb, minlength=len(da) * kb)
-                hit = np.flatnonzero(counts)
-                va = da.to_pylist()
-                vb = db.to_pylist()
-                for i in hit.tolist():
-                    key = (va[i // kb], vb[i % kb])
-                    agg[key] = agg.get(key, 0) + int(counts[i])
+        for chunk in container.read_chunks(path):
+            ca, ka = chunk.group_codes(col_a)
+            cb, kb = chunk.group_codes(col_b)
+            pairs, codes = np.unique(ca * len(kb) + cb, return_inverse=True)
+            keys = [(ka[p // len(kb)], kb[p % len(kb)]) for p in pairs.tolist()]
+            _fold_groups(agg, codes.reshape(-1), keys)
         return agg
 
-    refs = [
-        part_counts.remote(os.path.join(out_dir, m.data_file))
-        for _, m in sorted(ms.items())
-    ]
-    total: dict = {}
-    for agg in ray.get(refs):
-        for k, c in agg.items():
-            total[k] = total.get(k, 0) + c
-    out = pd.DataFrame(
-        {
-            col_a: [a for a, _ in total.keys()],
-            col_b: [b for _, b in total.keys()],
-            "n": list(total.values()),
-        }
-    )
-    return out.sort_values([col_a, col_b]).reset_index(drop=True).astype({"n": "int64"})
-
-
-def _merge_rec(cur: tuple, rec: tuple) -> tuple:
-    """Merge two (n, sum, min, max) partials; None = SQL NULL (an
-    all-null group in that partial) and is absorbed by any non-NULL."""
-    s = rec[1] if cur[1] is None else (cur[1] if rec[1] is None else cur[1] + rec[1])
-    mn = rec[2] if cur[2] is None else (cur[2] if rec[2] is None else min(cur[2], rec[2]))
-    mx = rec[3] if cur[3] is None else (cur[3] if rec[3] is None else max(cur[3], rec[3]))
-    return (cur[0] + rec[0], s, mn, mx)
+    return _group_frame(_per_partition(out_dir, part), [col_a, col_b], ["n"])
 
 
 def store_group_minmax_sum(out_dir: str, group_col: str, value_col: str) -> pd.DataFrame:
     """GROUP BY ``group_col`` → COUNT(*), MIN/MAX/SUM(``value_col``)
     over an encoded store with the whole aggregation on the ENCODED
-    form: group keys from the dict/rle code streams
-    (``encoded_group_codes``), int values straight from the FoR-packed
-    stream (``encoded_int_values``) — no Arrow column materializes.
-    Sums stay int64 end-to-end (``np.add.at`` on an int64 accumulator,
-    never float weights); min/max via ``np.minimum.at``/``maximum.at``
-    over dictionary-sized accumulators.  Decode fallbacks keep
-    exactness for unsupported codecs; one Ray task per partition,
+    form: group keys from the dict/rle code streams, int values straight
+    from the FoR-packed stream (``Chunk.int_values``) — no Arrow column
+    materializes.  SQL semantics: COUNT(*) counts every row, SUM/MIN/MAX
+    skip NULLs and are NULL for a group without a non-NULL value, and a
+    NULL key is a group of its own.  Decode fallbacks keep exactness
+    for unsupported codecs; one Ray task per partition,
     value-cardinality-sized merges."""
-    import ray
-
-    from ..codecs import auto
-    from ..state import container
-
-    ms = manifest_mod.scan_manifests(out_dir)
-
-    @ray.remote
-    def part_aggs(path: str) -> dict:
-        import numpy as np
-        import pyarrow.compute as pc
-
-        header, blob_start = container.read_header(path)
+    def part(path: str) -> dict:
         agg: dict = {}
-        with open(path, "rb") as f:
-
-            def blob_of(cm):
-                f.seek(blob_start + cm["offset"])
-                return f.read(cm["length"])
-
-            for ch in header["chunks"]:
-                metas = {cm["name"]: cm for cm in ch["columns"]}
-                gcm, vcm = metas[group_col], metas[value_col]
-                gc = container.encoded_group_codes(blob_of(gcm), gcm)
-                if gc is None:  # fallback: decode group keys + factorize
-                    # (also the only path that sees nulls — the fast
-                    # path refuses has_nulls chunks).  SQL GROUP BY:
-                    # null keys form their OWN group — give them the
-                    # extra code k so bincount stays dense.
-                    arr = auto.decode_column(
-                        blob_of(gcm), gcm["meta"], gcm["page"], gcm["payload_len"]
-                    )
-                    enc = pc.dictionary_encode(arr)
-                    dict_keys = enc.dictionary.to_pylist()
-                    idx = enc.indices
-                    if idx.null_count:
-                        idx = pc.fill_null(idx, len(dict_keys))
-                        dict_keys = dict_keys + [None]
-                    codes = np.asarray(idx).astype(np.int64)
-                else:
-                    codes, dict_vals = gc
-                    dict_keys = dict_vals.to_pylist()
-                vals = container.encoded_int_values(blob_of(vcm), vcm)
-                vvalid = None
-                if vals is None:  # fallback: decode values (may have nulls)
-                    varr = auto.decode_column(
-                        blob_of(vcm), vcm["meta"], vcm["page"], vcm["payload_len"]
-                    )
-                    if varr.null_count:
-                        # SQL aggregates: COUNT(*) counts every row,
-                        # SUM/MIN/MAX skip nulls (NULL for an all-null
-                        # group).  A raw astype would smear nulls into
-                        # INT64_MIN garbage — mask them out instead.
-                        vvalid = np.asarray(pc.is_valid(varr))
-                        vals = np.asarray(pc.fill_null(varr, 0)).astype(np.int64)
-                    else:
-                        vals = np.asarray(varr).astype(np.int64)
-                k = len(dict_keys)
-                n_rows = np.bincount(codes, minlength=k)
-                if vvalid is None:
-                    a_codes, a_vals, n_valid = codes, vals, n_rows
-                else:
-                    a_codes, a_vals = codes[vvalid], vals[vvalid]
-                    n_valid = np.bincount(a_codes, minlength=k)
-                sums = np.zeros(k, dtype=np.int64)
-                np.add.at(sums, a_codes, a_vals)
-                mins = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
-                maxs = np.full(k, np.iinfo(np.int64).min, dtype=np.int64)
-                np.minimum.at(mins, a_codes, a_vals)
-                np.maximum.at(maxs, a_codes, a_vals)
-                for i, v in enumerate(dict_keys):
-                    if not n_rows[i]:
-                        continue
-                    if n_valid[i]:
-                        rec = (int(n_rows[i]), int(sums[i]), int(mins[i]), int(maxs[i]))
-                    else:  # all-null group: SQL SUM/MIN/MAX are NULL
-                        rec = (int(n_rows[i]), None, None, None)
-                    cur = agg.get(v)
-                    agg[v] = rec if cur is None else _merge_rec(cur, rec)
+        for chunk in container.read_chunks(path):
+            _fold_groups(agg, *chunk.group_codes(group_col), *chunk.int_values(value_col),
+                         minmax=True)
         return agg
 
-    refs = [
-        part_aggs.remote(os.path.join(out_dir, m.data_file))
-        for _, m in sorted(ms.items())
-    ]
-    total: dict = {}
-    for agg in ray.get(refs):
-        for v, rec in agg.items():
-            cur = total.get(v)
-            total[v] = rec if cur is None else _merge_rec(cur, rec)
-    out = pd.DataFrame(
-        {
-            "value": list(total.keys()),
-            "n": [r[0] for r in total.values()],
-            "sum_v": [r[1] for r in total.values()],
-            "min_v": [r[2] for r in total.values()],
-            "max_v": [r[3] for r in total.values()],
-        }
-    )
-    out = out.sort_values("value", na_position="last").reset_index(drop=True)
-    out = out.astype({"n": "int64"})
-    for c in ("sum_v", "min_v", "max_v"):
-        # plain int64 when no group is all-null (the common, nullless
-        # store); pandas nullable Int64 only when a SQL NULL aggregate
-        # actually occurs
-        out[c] = out[c].astype("int64" if out[c].notna().all() else "Int64")
-    return out
+    return _group_frame(_per_partition(out_dir, part), ["value"], ["n", "sum_v", "min_v", "max_v"])
 
 
 def store_filtered_group_count(out_dir: str, group_col: str, dnf) -> pd.DataFrame:
     """WHERE <dnf> GROUP BY ``group_col`` → COUNT(*) with BOTH the
     filter and the aggregation evaluated on the encoded form: chunks
-    are first pruned by their stats (``dnf_possible``), surviving
-    chunks build the row mask via ``encoded_clause_mask`` (dict/rle
-    dictionaries, FoR int streams — decode+compare fallback) and count
-    group codes under the mask — the composed skar query pipeline
-    (prune → mask → aggregate) with no value decode on the happy path
-    (same result-sized-group contract as ``store_value_counts``)."""
-    import ray
-
-    from ..codecs import auto
-    from ..state import container
-    from ..state.pruning import dnf_possible
-
-    ms = manifest_mod.scan_manifests(out_dir)
-
-    @ray.remote
-    def part_counts(path: str) -> dict:
-        import numpy as np
-        import pyarrow.compute as pc
-
-        header, blob_start = container.read_header(path)
+    are first pruned by their stats (``read_chunks(dnf=)``), surviving
+    chunks build the row mask (``Chunk.mask`` — dict/rle dictionaries,
+    FoR int streams, decode+compare fallback) and count group codes
+    under the mask — the composed skar query pipeline (prune → mask →
+    aggregate) with no value decode on the happy path (same
+    result-sized-group contract as ``store_value_counts``)."""
+    def part(path: str) -> dict:
         agg: dict = {}
-        with open(path, "rb") as f:
-
-            def blob_of(cm):
-                f.seek(blob_start + cm["offset"])
-                return f.read(cm["length"])
-
-            for ch in header["chunks"]:
-                stats_of = container._chunk_stats_of(ch)
-                if not dnf_possible(stats_of, dnf):
-                    continue  # chunk pruned: nothing read at all
-                metas = {cm["name"]: cm for cm in ch["columns"]}
-                mask = None
-                for conj in dnf:
-                    m = None
-                    for col, op, value in conj:
-                        cm = metas[col]
-                        cmask = container.encoded_clause_mask(blob_of(cm), cm, op, value)
-                        if cmask is None:
-                            arr = auto.decode_column(
-                                blob_of(cm), cm["meta"], cm["page"], cm["payload_len"]
-                            )
-                            from .query_encoded import _clause_compute
-
-                            cmask = np.asarray(
-                                pc.fill_null(_clause_compute(arr, op, value), False)
-                            )
-                        m = cmask if m is None else (m & cmask)
-                        if not m.any():
-                            break
-                    mask = m if mask is None else (mask | m)
-                if mask is None or not mask.any():
-                    continue
-                gcm = metas[group_col]
-                gc = container.encoded_group_codes(blob_of(gcm), gcm)
-                if gc is None:
-                    arr = auto.decode_column(
-                        blob_of(gcm), gcm["meta"], gcm["page"], gcm["payload_len"]
-                    )
-                    enc = pc.dictionary_encode(arr)
-                    codes = np.asarray(enc.indices).astype(np.int64)
-                    dict_vals = enc.dictionary
-                else:
-                    codes, dict_vals = gc
-                counts = np.bincount(codes[mask], minlength=len(dict_vals))
-                for v, c in zip(dict_vals.to_pylist(), counts.tolist()):
-                    if c:
-                        agg[v] = agg.get(v, 0) + c
+        for chunk in container.read_chunks(path, dnf=dnf):
+            mask = chunk.mask(dnf)
+            if mask is not None and not mask.any():
+                continue
+            codes, keys = chunk.group_codes(group_col)
+            _fold_groups(agg, codes if mask is None else codes[mask], keys)
         return agg
 
-
-    refs = [
-        part_counts.remote(os.path.join(out_dir, m.data_file))
-        for _, m in sorted(ms.items())
-    ]
-    total: dict = {}
-    for agg in ray.get(refs):
-        for v, c in agg.items():
-            total[v] = total.get(v, 0) + c
-    out = pd.DataFrame({"value": list(total.keys()), "n": list(total.values())})
-    return out.sort_values("value").reset_index(drop=True).astype({"n": "int64"})
+    return _group_frame(_per_partition(out_dir, part), ["value"], ["n"])
 
 
 def store_distinct(out_dir: str, column: str, with_info: bool = False):
     """DISTINCT ``column`` over an encoded store, metadata-first.  Per
-    chunk the ladder is (1) the exact ``distinct`` list already in the
-    chunk's pruning stats — header-only, ZERO data bytes read; (2) the
-    dict/rle value dictionary (``container.encoded_distinct_values``) —
-    decodes only the dictionary, never the row stream; (3) full decode
-    + unique.  One Ray task per partition returns its distinct set
-    (result-sized — same contract as ``store_value_counts``: the
-    distinct cardinality must be result-sized; near-unique keys belong
-    on the decode + exchange path); the driver unions.  With
-    ``with_info=True`` also returns per-rung chunk counts so tests can
-    pin which rung served (the reference's distinct-set index serving
-    point queries at zero scan cost, build_parquet_idx.rs:89-166).
+    chunk the ladder is (``Chunk.distinct``) (1) the exact ``distinct``
+    list already in the chunk's pruning stats — header-only, ZERO data
+    bytes read; (2) the dict/rle value dictionary — decodes only the
+    dictionary, never the row stream; (3) full decode + unique.  One
+    Ray task per partition returns its distinct set (result-sized —
+    same contract as ``store_value_counts``: the distinct cardinality
+    must be result-sized; near-unique keys belong on the decode +
+    exchange path); the driver unions.  With ``with_info=True`` also
+    returns per-rung chunk counts so tests can pin which rung served
+    (the reference's distinct-set index serving point queries at zero
+    scan cost, build_parquet_idx.rs:89-166).
     """
-    import ray
-
-    from ..codecs import auto
-    from ..state import container
-
-    ms = manifest_mod.scan_manifests(out_dir)
-
-    @ray.remote
-    def part_distinct(path: str) -> tuple:
-        import pyarrow.compute as pc
-
-        header, blob_start = container.read_header(path)
-        if column not in dict(header["schema"]):
-            raise ValueError(
-                f"column {column!r} not in store schema "
-                f"{sorted(dict(header['schema']))}"
-            )
+    def part(path: str) -> tuple:
+        header_info = container.read_header(path)
+        schema = dict(header_info[0]["schema"])
+        if column not in schema:
+            raise ValueError(f"column {column!r} not in store schema {sorted(schema)}")
         vals: set = set()
         rungs = [0, 0, 0]  # stats / dictionary / decode
-        with open(path, "rb") as f:
-            for ch in header["chunks"]:
-                cm = next(c for c in ch["columns"] if c["name"] == column)
-                st = cm.get("minmax")
-                if (
-                    isinstance(st, dict) and "distinct" in st
-                    and not cm["meta"].get("has_nulls")
-                ):
-                    vals.update(st["distinct"])
-                    rungs[0] += 1
-                    continue
-                f.seek(blob_start + cm["offset"])
-                blob = f.read(cm["length"])
-                d = container.encoded_distinct_values(blob, cm)
-                if d is not None:
-                    vals.update(d)
-                    rungs[1] += 1
-                    continue
-                arr = auto.decode_column(blob, cm["meta"], cm["page"], cm["payload_len"])
-                vals.update(pc.unique(arr).to_pylist())
-                rungs[2] += 1
+        for chunk in container.read_chunks(path, header_info=header_info):
+            d, rung = chunk.distinct(column)
+            vals.update(d)
+            rungs[rung] += 1
         return vals, rungs
 
-    refs = [
-        part_distinct.remote(os.path.join(out_dir, m.data_file))
-        for _, m in sorted(ms.items())
-    ]
     total: set = set()
     rungs = [0, 0, 0]
-    for vals, r in ray.get(refs):
+    for vals, r in _per_partition(out_dir, part):
         total |= vals
         rungs = [a + b for a, b in zip(rungs, r)]
     has_null = None in total

@@ -212,12 +212,10 @@ def bucketed_sum(ds: "ray.data.Dataset", keys: list[str],
 
 def bucketed_group_apply(ds: "ray.data.Dataset", keys: list[str], fn,
                          n_buckets: int | None = None,
-                         backend: str = "ray",
                          min_group_size: int = 1) -> "ray.data.Dataset":
     """Apply ``fn`` once per distinct value of ``keys`` (pandas in,
-    pandas out), co-locating fine groups via a coarse hash exchange.
-    Results are identical across backends (equality-tested); rows of
-    one fine group always land in one reduce task.
+    pandas out), co-locating fine groups via a coarse hash exchange:
+    rows of one fine group always land in one reduce task.
 
     ``min_group_size``: fine groups smaller than this are dropped
     VECTORISED before fn runs — only correct for fns that provably
@@ -225,19 +223,6 @@ def bucketed_group_apply(ds: "ray.data.Dataset", keys: list[str], fn,
     singletons (e.g. keep-first dedup) leave it at 1."""
     if n_buckets is None:
         n_buckets = max(16, 2 * int(ray.cluster_resources().get("CPU", 8)))
-
-    if backend == "dataset":
-        def coarse(df: pd.DataFrame) -> pd.DataFrame:
-            return df.assign(__cb=_coarse_hash(df, keys, n_buckets))
-
-        def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            return _local_group_apply(g, keys, fn, min_group_size)
-
-        return (
-            ds.map_batches(coarse, batch_format="pandas")
-            .groupby("__cb")
-            .map_groups(per_bucket, batch_format="pandas")
-        )
 
     block_refs = ds.to_arrow_refs()  # distributed blocks; refs only on driver
     if not block_refs:
@@ -254,9 +239,8 @@ def bucketed_group_apply(ds: "ray.data.Dataset", keys: list[str], fn,
         return ray.data.from_pandas(fn(empty_df))
 
     def _empty_result():
-        # fn must see an empty frame with the INPUT's full schema (the
-        # dataset backend's empty-group calls carry all columns too, and
-        # fns read non-key columns) — fetch one block, slice to 0 rows
+        # fn must see an empty frame with the INPUT's full schema (fns
+        # read non-key columns) — fetch one block, slice to 0 rows
         empty_df = ray.get(block_refs[0]).to_pandas().iloc[0:0]
         return ray.data.from_pandas(fn(empty_df))
 

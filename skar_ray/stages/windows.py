@@ -2,15 +2,13 @@
 
 Ray Data has no event-time windows; the reference is a micro-batch
 tip-follower, not a window engine either (SURVEY §2.8).  We implement
-the windows a training-data pipeline needs as
-``groupby(key).map_groups`` over per-key ts-sorted groups — the
-documented pattern for stream-shaped workloads.  Hot-key safety: the
-session / sliding / asof operators default to TIME-SALTED groups
-((key, floor(ts, salt_freq)) with an exact boundary merge over bucket
-summaries), so a key holding half the corpus splits across buckets
-instead of OOMing one task; ``salt_freq=None`` restores
-single-task-per-key.  Tumbling pre-aggregates per batch and never had
-the assumption.
+the windows a training-data pipeline needs as ``bucketed_group_apply``
+over per-key ts-sorted groups.  Hot-key safety: the session / sliding
+/ asof operators group by TIME-SALTED keys ((key, floor(ts,
+salt_freq)) with an exact boundary merge over bucket summaries), so a
+key holding half the corpus splits across buckets instead of OOMing
+one task.  Tumbling pre-aggregates per batch and never had the
+assumption.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ def tumbling_window_counts(ds: "ray.data.Dataset", freq: str = "D",
 
 
 def session_windows(ds: "ray.data.Dataset", gap_minutes: int = 60,
-                    salt_freq: str | None = "1D",
+                    salt_freq: str = "1D",
                     as_dataset: bool = False) -> pd.DataFrame:
     """Per-user session count + total events, sessions split at
     inactivity gaps > ``gap_minutes`` (classic sessionisation).
@@ -85,23 +83,8 @@ def session_windows(ds: "ray.data.Dataset", gap_minutes: int = 60,
     for every consecutive-bucket boundary whose gap is within the
     threshold.  EXACT: sessions inside a bucket are counted locally,
     and a session spanning k bucket boundaries is counted k+1 times
-    locally and merged k times.  ``salt_freq=None`` restores the
-    single-task-per-user path."""
+    locally and merged k times."""
     gap = pd.Timedelta(minutes=gap_minutes)
-
-    if salt_freq is None:
-        def per_user(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values("ts")
-            gaps = g["ts"].diff() > gap
-            n_sessions = int(gaps.sum()) + 1 if len(g) else 0
-            return pd.DataFrame(
-                {"user_id": [g["user_id"].iloc[0]], "n_sessions": [n_sessions], "n_events": [len(g)]}
-            )
-
-        out = ds.groupby("user_id").map_groups(per_user, batch_format="pandas")
-        return _finish(out, ["user_id"],
-                       {"user_id": "int64", "n_sessions": "int64", "n_events": "int64"},
-                       as_dataset)
 
     def bucketed(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.assign(__bkt=batch["ts"].dt.floor(salt_freq))
@@ -150,84 +133,9 @@ def session_windows(ds: "ray.data.Dataset", gap_minutes: int = 60,
                    as_dataset)
 
 
-class StreamingWindowState:
-    """Incremental windowed aggregation held in object state — the
-    pattern for stream-shaped references whose semantics need running
-    state (one instance per key-hash bucket, fed batches in ts order).
-
-    Each instance owns the keys of its bucket and maintains per-(key, day)
-    running (count, min, max); ``snapshot()`` (triggered by a final
-    sentinel batch or an explicit call) emits the same rows a batch
-    tumbling-window computation produces — asserted in tests.
-
-    Ordering assumption (stated per the streaming-workload rule): a
-    key's batches arrive in non-decreasing event time per instance; the
-    aggregates used here are order-insensitive, so late data within the
-    job is still correct — only snapshot timing is affected.
-    """
-
-    def __init__(self, freq: str = "D"):
-        self.freq = freq
-        self.state: dict[tuple, list] = {}  # (user, day) -> [n, min, max]
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        days = batch["ts"].dt.floor(self.freq)
-        for u, d, v in zip(batch["user_id"], days, batch["value"]):
-            k = (int(u), d)
-            s = self.state.get(k)
-            if s is None:
-                self.state[k] = [1, v, v]
-            else:
-                s[0] += 1
-                s[1] = min(s[1], v)
-                s[2] = max(s[2], v)
-        return self.snapshot()
-
-    def snapshot(self) -> pd.DataFrame:
-        if not self.state:
-            return pd.DataFrame({"user_id": [], "day": [], "n": [], "min_value": [], "max_value": []})
-        rows = [(u, d, s[0], s[1], s[2]) for (u, d), s in self.state.items()]
-        out = pd.DataFrame(rows, columns=["user_id", "day", "n", "min_value", "max_value"])
-        return out.astype({"user_id": "int64", "n": "int64"})
-
-
-def streaming_tumbling_counts(ds: "ray.data.Dataset", freq: str = "D",
-                              n_buckets: int = 4,
-                              as_dataset: bool = False) -> pd.DataFrame:
-    """Drive StreamingWindowState through ``groupby("bucket").map_groups``:
-    rows are bucketed by user hash (so one state instance owns each
-    key), each bucket's instance consumes its rows incrementally in ts
-    order, and the LAST emitted snapshot per bucket is the final window
-    table."""
-
-    def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["bucket"] = batch["user_id"].astype("int64") % n_buckets
-        return batch
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        state = StreamingWindowState(freq)
-        # feed in ts order in several micro-batches to exercise the
-        # incremental path (not one big batch)
-        g = g.sort_values("ts")
-        out = None
-        for i in range(0, len(g), max(1, len(g) // 4)):
-            out = state(g.iloc[i : i + max(1, len(g) // 4)])
-        return out if out is not None else state.snapshot()
-
-    out = (
-        ds.map_batches(bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
-    if as_dataset:
-        return out
-    return out.to_pandas().sort_values(["user_id", "day"]).reset_index(drop=True)
-
-
 def asof_join_events(ds: "ray.data.Dataset", left_type: str = "purchase",
                      right_type: str = "click",
-                     salt_freq: str | None = "1D",
+                     salt_freq: str = "1D",
                      as_dataset: bool = False) -> pd.DataFrame:
     """As-of join inside the ordered log: for every `left_type` event,
     the most recent `right_type` event of the SAME user at ts <= left.ts
@@ -242,8 +150,7 @@ def asof_join_events(ds: "ray.data.Dataset", left_type: str = "purchase",
     maxima are time-ordered, so the carry-forward is the summary of
     the latest earlier bucket that has rights).  The second pass moves
     only unmatched lefts (lefts before their bucket's first right) and
-    summaries, never a user's event history.  ``salt_freq=None``
-    restores single-task-per-user."""
+    summaries, never a user's event history."""
 
     def asof_of(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         m = pd.merge_asof(
@@ -253,22 +160,6 @@ def asof_join_events(ds: "ray.data.Dataset", left_type: str = "purchase",
         )
         m["user_id"] = left["user_id"].iloc[0] if len(left) else None
         return m
-
-    if salt_freq is None:
-        def per_user(g: pd.DataFrame) -> pd.DataFrame:
-            left = g[g["event_type"] == left_type].sort_values(["ts", "event_id"])
-            right = g[g["event_type"] == right_type].sort_values(["ts", "event_id"])
-            if len(left) == 0 or len(right) == 0:
-                return pd.DataFrame({"event_id": pd.Series(dtype="int64"),
-                                     "user_id": pd.Series(dtype="int64"),
-                                     "last_right_ts": pd.Series(dtype="datetime64[us]")})
-            m = asof_of(left, right).dropna(subset=["last_right_ts"])
-            m["user_id"] = g["user_id"].iloc[0]
-            return m[["event_id", "user_id", "last_right_ts"]]
-
-        out = ds.groupby("user_id").map_groups(per_user, batch_format="pandas")
-        return _finish(out, ["event_id"],
-                       {"event_id": "int64", "user_id": "int64"}, as_dataset)
 
     def bucketed(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch[batch["event_type"].isin([left_type, right_type])]
@@ -358,7 +249,7 @@ def asof_join_events(ds: "ray.data.Dataset", left_type: str = "purchase",
 
 
 def sliding_window_peak(ds: "ray.data.Dataset", window: str = "6h", step_hours: int = 1,
-                        salt_freq: str | None = "1D",
+                        salt_freq: str = "1D",
                         as_dataset: bool = False) -> pd.DataFrame:
     """Per user: the peak event count over sliding windows of `window`
     advancing by `step_hours` (late-data tolerant: windows are derived
@@ -370,7 +261,7 @@ def sliding_window_peak(ds: "ray.data.Dataset", window: str = "6h", step_hours: 
     non-anchoring context, so a window straddling the boundary is
     counted exactly once (at its anchor's bucket) with its full
     content.  The per-user reduce runs over one peak row per (user,
-    bucket).  ``salt_freq=None`` restores single-task-per-user."""
+    bucket)."""
     w = np.timedelta64(int(pd.Timedelta(window).total_seconds()), "s")
 
     def sweep(ts: np.ndarray, anchors: np.ndarray) -> int:
@@ -382,18 +273,6 @@ def sliding_window_peak(ds: "ray.data.Dataset", window: str = "6h", step_hours: 
         starts = np.searchsorted(ts, ts - w, side="right")
         counts = np.arange(len(ts)) - starts + 1
         return int(counts[anchors].max())
-
-    if salt_freq is None:
-        def per_user(g: pd.DataFrame) -> pd.DataFrame:
-            ts = g["ts"].sort_values().to_numpy()
-            if len(ts) == 0:
-                return pd.DataFrame({"user_id": [], "peak_count": []})
-            peak = sweep(ts, np.ones(len(ts), dtype=bool))
-            return pd.DataFrame({"user_id": [g["user_id"].iloc[0]], "peak_count": [peak]})
-
-        out = ds.groupby("user_id").map_groups(per_user, batch_format="pandas")
-        return _finish(out, ["user_id"],
-                       {"user_id": "int64", "peak_count": "int64"}, as_dataset)
 
     if pd.Timedelta(salt_freq) < pd.Timedelta(window):
         raise ValueError("salt_freq must be >= window so context spans one boundary only")

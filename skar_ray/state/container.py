@@ -1,15 +1,24 @@
 """`.skarc` container — one file per partition of encoded columns.
 
-Layout: ``b"SKRC1\\n"`` magic, u64 little-endian header length, JSON
+Layout: ``b"SKRC2\\n"`` magic, two u64 little-endian lengths (the
+zstd-compressed JSON header's, then the raw header's), the compressed
 header, blob area.  The header holds the schema and, per chunk ("row
 group" analog — the reference slices sorted chunks into 10k-row row
 groups, /root/reference/skar/src/write_parquet.rs:83-103), per column:
-codec name, codec meta, page codec, offsets into the blob area and the
-size triple (raw arrow bytes / codec payload bytes / final blob bytes).
+codec name, codec meta, page codec, offsets into the blob area, the
+size triple (raw arrow bytes / codec payload bytes / final blob bytes)
+and typed pruning stats.
 
 Written atomically: the caller writes to ``<path>.tmp`` and renames —
 the reference's temp-folder + rename publish step
 (/root/reference/skar/src/skar_runner.rs:296-321).
+
+Read through one chunk reader, ``read_chunks`` — the analog of the
+reference's projected, row-group-pruned Parquet reader
+(skar/src/query/data_provider.rs:121-183).  Every container read in
+the package (``read_container``, ``drop_column``, the encoded-form
+aggregates in ``pipelines/stats.py`` and ``store_topk``) goes through
+it.
 """
 
 from __future__ import annotations
@@ -18,14 +27,14 @@ import json
 import os
 import struct
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..codecs import auto, base
 
-MAGIC = b"SKRC1\n"
 MAGIC2 = b"SKRC2\n"  # v2: zstd-compressed JSON header (chunk stats +
-#                      SBBF sketches compress ~3-4×); readers accept both
+#                      SBBF sketches compress ~3-4×)
 
 
 def _chunk_stats(name: str, col) -> dict | None:
@@ -35,7 +44,7 @@ def _chunk_stats(name: str, col) -> dict | None:
     state.pruning); for non-content string columns also an exact
     distinct list (≤64 values) or an SBBF sketch (≤50k distinct) so
     point lookups on high-cardinality columns (path, commit) skip
-    chunk decodes.  Legacy containers hold a [lo, hi] string list."""
+    chunk decodes."""
     from .pruning import minmax_stat
 
     try:
@@ -269,20 +278,16 @@ def drop_column(path: str, name: str, validator=None) -> dict:
         raise ValueError("cannot drop the last column")
     new_blobs: list[bytes] = []
     off = 0
-    with open(path, "rb") as f:
-        for ch in header["chunks"]:
-            kept = []
-            for cm in ch["columns"]:
-                if cm["name"] == name:
-                    continue
-                f.seek(blob_start + cm["offset"])
-                b = f.read(cm["length"])
-                cm = dict(cm)
-                cm["offset"] = off
-                kept.append(cm)
-                new_blobs.append(b)
-                off += len(b)
-            ch["columns"] = kept
+    for chunk in read_chunks(path, header_info=(header, blob_start)):
+        kept = []
+        for cm in chunk.columns.values():
+            if cm["name"] == name:
+                continue
+            b = chunk.blob(cm["name"])
+            kept.append({**cm, "offset": off})
+            new_blobs.append(b)
+            off += len(b)
+        header["chunks"][chunk.index]["columns"] = kept
     header["schema"] = [e for e in header["schema"] if e[0] != name]
     hjson = json.dumps(header).encode("utf-8")
     hz = pa.Codec("zstd", compression_level=3).compress(hjson).to_pybytes()
@@ -304,17 +309,13 @@ def drop_column(path: str, name: str, validator=None) -> dict:
 
 
 def read_header(path: str) -> tuple[dict, int]:
+    """(header dict, offset of the blob area) of the container at ``path``."""
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic == MAGIC2:
-            hz_len, raw_len = struct.unpack("<QQ", f.read(16))
-            hjson = pa.Codec("zstd").decompress(f.read(hz_len), raw_len).to_pybytes()
-            return json.loads(hjson.decode("utf-8")), len(MAGIC2) + 16 + hz_len
-        if magic != MAGIC:
+        if f.read(len(MAGIC2)) != MAGIC2:
             raise ValueError(f"bad container magic in {path}")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-    return header, len(MAGIC) + 8 + hlen
+        hz_len, raw_len = struct.unpack("<QQ", f.read(16))
+        hjson = pa.Codec("zstd").decompress(f.read(hz_len), raw_len).to_pybytes()
+    return json.loads(hjson.decode("utf-8")), len(MAGIC2) + 16 + hz_len
 
 
 def _dict_value_mask(dict_vals: pa.Array, op: str, value) -> "np.ndarray":
@@ -322,8 +323,6 @@ def _dict_value_mask(dict_vals: pa.Array, op: str, value) -> "np.ndarray":
     the same dispatch as the decode path (pruning.clause_compute), so
     dict/rle-coded chunks can never evaluate an op differently from
     other codecs."""
-    import numpy as np
-
     from .pruning import clause_compute
 
     return np.asarray(pc.fill_null(clause_compute(dict_vals, op, value), False))
@@ -343,8 +342,6 @@ def encoded_clause_mask(blob: bytes, cm: dict, op: str, value) -> "np.ndarray | 
 
     Returns None when the codec/meta doesn't support it (caller decodes
     and compares — exact either way)."""
-    import numpy as np
-
     from ..codecs.for_bitpack import bitunpack, unpack_ints_with_reference
     from ..codecs.plain import PlainCodec
 
@@ -441,8 +438,6 @@ def encoded_group_codes(blob: bytes, cm: dict):
     """(per-row integer code stream, dictionary values) for a dict/rle
     chunk — the grouped-aggregation building block: group keys stay as
     small ints, only the dictionary decodes.  None when unsupported."""
-    import numpy as np
-
     from ..codecs.for_bitpack import bitunpack, unpack_ints_with_reference
     from ..codecs.plain import PlainCodec
 
@@ -474,8 +469,6 @@ def encoded_byte_lengths(blob: bytes, cm: dict) -> "np.ndarray | None":
     plain strings store it outright, and dict/rle index into the
     dictionary's value lengths; the value bytes themselves never
     materialize.  None when the codec/meta doesn't support it."""
-    import numpy as np
-
     from ..codecs.for_bitpack import unpack_ints_with_reference
 
     meta = cm["meta"]
@@ -538,60 +531,161 @@ def encoded_distinct_values(blob: bytes, cm: dict) -> "list | None":
     return PlainCodec().decode(val_payload, vm, vm["n"]).to_pylist()
 
 
-def encoded_value_counts(blob: bytes, cm: dict) -> "dict | None":
-    """Per-value row counts computed directly on the ENCODED form —
-    aggregate pushdown, the GROUP-BY analog of ``encoded_clause_mask``:
-    dict chunks bincount their index stream, rle chunks sum run lengths
-    per code; only the (small) dictionary ever decodes, the value
-    column is never materialized.  Returns None when the codec/meta
-    doesn't support it (caller decodes and counts — exact either way)."""
-    import numpy as np
-
-    from ..codecs.for_bitpack import bitunpack, unpack_ints_with_reference
-    from ..codecs.plain import PlainCodec
-
-    meta = cm["meta"]
-    if meta.get("has_nulls"):
-        return None
-    if cm["codec"] not in ("dict", "rle"):
-        return None
-    n = meta["n"]
-    payload = auto.page_decompress(blob, cm["page"], cm["payload_len"])
-    plain = PlainCodec()
-    if cm["codec"] == "dict":
-        _nulls, idx_payload, val_payload = base.unpack_sections(payload)
-        vm = meta["values_meta"]
-        dict_vals = plain.decode(val_payload, vm, vm["n"])
-        indices = bitunpack(idx_payload, meta["width"], n).astype(np.int64)
-        counts = np.bincount(indices, minlength=len(dict_vals))
-    else:
-        _nulls, codes_payload, lens_payload, val_payload = base.unpack_sections(payload)
-        k = meta["n_runs"]
-        run_codes = unpack_ints_with_reference(codes_payload, meta["codes_meta"], k).astype(np.int64)
-        run_lens = unpack_ints_with_reference(lens_payload, meta["lens_meta"], k).astype(np.int64)
-        vm = meta["values_meta"]
-        dict_vals = plain.decode(val_payload, vm, vm["n"])
-        counts = np.zeros(len(dict_vals), dtype=np.int64)
-        np.add.at(counts, run_codes, run_lens)  # integer-exact
-    return {
-        v: int(c) for v, c in zip(dict_vals.to_pylist(), counts.tolist()) if c
-    }
-
-
 def _chunk_stats_of(ch) -> "callable":
-    """stats_of(col) over a chunk's stored per-column stats (typed dict
-    with optional distinct/bloom; legacy [lo, hi] string pair)."""
-    mm = {cm["name"]: cm.get("minmax") for cm in ch["columns"] if cm.get("minmax")}
+    """stats_of(col) over a chunk's stored typed per-column stats (min,
+    max and tag, with an optional distinct list or SBBF sketch)."""
+    mm = {cm["name"]: cm.get("minmax") or {} for cm in ch["columns"]}
+    return lambda c: mm.get(c, {})
 
-    def stats_of(c):
-        st = mm.get(c)
-        if st is None:
-            return {}
-        if isinstance(st, list):  # legacy [lo, hi] string pair
-            return {"min": st[0], "max": st[1], "t": "s"}
-        return st
 
-    return stats_of
+def _int64_and_validity(arr: pa.Array) -> tuple[np.ndarray, np.ndarray | None]:
+    """(int64 values, validity or None when there is no NULL); a NULL's
+    slot holds 0, so it adds nothing to a sum over the values."""
+    if not arr.null_count:
+        return np.asarray(arr).astype(np.int64), None
+    return (np.asarray(pc.fill_null(arr, 0)).astype(np.int64),
+            np.asarray(pc.is_valid(arr)))
+
+
+class Chunk:
+    """One chunk of an open container, as ``read_chunks`` yields it.
+
+    Each column's blob is read at most once and decoded at most once.
+    Every accessor answers from the encoded form when the column's codec
+    allows it and by ``auto.decode_column`` otherwise — exact either
+    way.  NULLs follow one rule (DuckDB's): a NULL group key is a group
+    of its own, a NULL never matches a clause, and a NULL value comes
+    back with a validity mask so it adds nothing to a sum."""
+
+    def __init__(self, f, blob_start: int, index: int, meta: dict):
+        self.index = index
+        self.n_rows = meta["n_rows"]
+        self.columns = {cm["name"]: cm for cm in meta["columns"]}
+        self.stats = _chunk_stats_of(meta)
+        self._f = f
+        self._blob_start = blob_start
+        self._blobs: dict[str, bytes] = {}
+        self._arrays: dict[str, pa.Array] = {}
+
+    def blob(self, name: str) -> bytes:
+        """The column's stored bytes (page-compressed codec payload)."""
+        if name not in self._blobs:
+            cm = self.columns[name]
+            self._f.seek(self._blob_start + cm["offset"])
+            self._blobs[name] = self._f.read(cm["length"])
+        return self._blobs[name]
+
+    def array(self, name: str) -> pa.Array:
+        """The column decoded to Arrow."""
+        if name not in self._arrays:
+            cm = self.columns[name]
+            self._arrays[name] = auto.decode_column(
+                self.blob(name), cm["meta"], cm["page"], cm["payload_len"]
+            )
+        return self._arrays[name]
+
+    def _encoded(self, fn, name: str):
+        """``fn(blob, meta)`` on the encoded form; None (caller decodes)
+        when the codec does not support it or the column is already
+        decoded."""
+        if name in self._arrays:
+            return None
+        return fn(self.blob(name), self.columns[name])
+
+    def mask(self, dnf) -> np.ndarray | None:
+        """Exact row mask of ``dnf`` (OR of AND-ed clauses), each clause
+        by ``encoded_clause_mask`` or by decode + ``clause_compute``;
+        None when ``dnf`` is empty (every row matches)."""
+        from .pruning import clause_compute
+
+        def clause_mask(col, op, value):
+            m = self._encoded(lambda blob, cm: encoded_clause_mask(blob, cm, op, value), col)
+            if m is None:
+                m = np.asarray(pc.fill_null(clause_compute(self.array(col), op, value), False))
+            return m
+
+        mask = None
+        for conj in dnf or ():
+            m = None
+            for col, op, value in conj:
+                c = clause_mask(col, op, value)
+                m = c if m is None else (m & c)
+                if not m.any():
+                    break
+            if m is not None:
+                mask = m if mask is None else (mask | m)
+        return mask
+
+    def values(self, name: str) -> pa.Array:
+        """The column's values: the int64 FoR stream when the codec is
+        for_bitpack (``encoded_int_values``), else the decoded array."""
+        iv = self._encoded(encoded_int_values, name)
+        if iv is not None:
+            return pa.array(np.asarray(iv, dtype=np.int64))
+        return self.array(name)
+
+    def int_values(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """(int64 values, validity or None) — the value side of a
+        grouped sum/min/max."""
+        return _int64_and_validity(self.values(name))
+
+    def byte_lengths(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """(per-row byte length of a string column, validity or None),
+        from the length stream (``encoded_byte_lengths``) when the codec
+        carries one."""
+        lens = self._encoded(encoded_byte_lengths, name)
+        if lens is not None:
+            return lens, None
+        return _int64_and_validity(pc.binary_length(self.array(name)))
+
+    def group_codes(self, name: str) -> tuple[np.ndarray, list]:
+        """(per-row int64 group code, the key of each code): the dict/rle
+        code stream (``encoded_group_codes``), else decode +
+        ``dictionary_encode``; a NULL key gets the last code, keyed
+        None."""
+        gc = self._encoded(encoded_group_codes, name)
+        if gc is not None:
+            return gc[0], gc[1].to_pylist()
+        enc = pc.dictionary_encode(self.array(name))
+        keys, idx = enc.dictionary.to_pylist(), enc.indices
+        if idx.null_count:
+            idx = pc.fill_null(idx, len(keys))
+            keys.append(None)
+        return np.asarray(idx).astype(np.int64), keys
+
+    def distinct(self, name: str) -> tuple[list, int]:
+        """(the column's distinct values, rung that answered): 0 = the
+        exact distinct list in the chunk's stats, no data byte read;
+        1 = the dict/rle dictionary (``encoded_distinct_values``);
+        2 = decode + unique.  Rung 0 is skipped for a chunk with NULLs,
+        which the stored list leaves out."""
+        st = self.stats(name)
+        if "distinct" in st and not self.columns[name]["meta"].get("has_nulls"):
+            return st["distinct"], 0
+        d = self._encoded(encoded_distinct_values, name)
+        if d is not None:
+            return d, 1
+        return pc.unique(self.array(name)).to_pylist(), 2
+
+
+def read_chunks(path: str, dnf=None, chunk_indices: list[int] | None = None,
+                header_info: tuple[dict, int] | None = None):
+    """The chunk reader: yield a ``Chunk`` for each chunk of the
+    container at ``path`` (those in ``chunk_indices`` if given, in that
+    order) whose stored stats can satisfy ``dnf`` (min/max + distinct
+    + SBBF, ``pruning.dnf_possible`` — row-group skip,
+    skar/src/query/data_provider.rs:250-333).  The file is opened once;
+    ``header_info`` is a ``read_header`` result the caller already
+    holds."""
+    from .pruning import dnf_possible
+
+    header, blob_start = header_info if header_info is not None else read_header(path)
+    metas = header["chunks"]
+    with open(path, "rb") as f:
+        for ci in range(len(metas)) if chunk_indices is None else chunk_indices:
+            chunk = Chunk(f, blob_start, ci, metas[ci])
+            if dnf_possible(chunk.stats, dnf):
+                yield chunk
 
 
 def read_container(path: str, columns: list[str] | None = None,
@@ -601,85 +695,29 @@ def read_container(path: str, columns: list[str] | None = None,
                    header_info: tuple[dict, int] | None = None) -> pa.Table:
     """Decode a container back to a pyarrow Table (projected, chunk-pruned).
 
-    Mirrors the reference's projected + row-group-pruned Parquet reader
-    (/root/reference/skar/src/query/data_provider.rs:121-183).  ``dnf``
-    prunes whole chunks via their per-column stats (min/max + distinct
-    + SBBF — row-group skip, data_provider.rs:250-333, indexes
-    build_parquet_idx.rs:50-115).  With ``apply_dnf=True`` the full DNF
-    is ALSO evaluated exactly per chunk, on the encoded form where the
-    codec supports it (``encoded_clause_mask``) and by decode+compare
-    otherwise; only matching rows of the projected columns are
-    returned, and chunks with an all-false mask are never decoded.
+    ``dnf`` prunes whole chunks via their stats (``read_chunks``).  With
+    ``apply_dnf=True`` the full DNF is ALSO evaluated exactly per chunk
+    (``Chunk.mask``, on the encoded form where the codec supports it);
+    ``encoded_filter`` = (column, values) is the same for one ``in``
+    clause.  Only matching rows of the projected columns are returned,
+    and chunks with an all-false mask are never decoded.
     """
-    import numpy as np
-
     header, blob_start = header_info if header_info is not None else read_header(path)
-    schema_cols = [name for name, _ in header["schema"]]
-    want = columns or schema_cols
-    chunks = header["chunks"]
-    if chunk_indices is not None:
-        chunks = [chunks[i] for i in chunk_indices]
-    if dnf:
-        from .pruning import dnf_possible
-
-        chunks = [ch for ch in chunks if dnf_possible(_chunk_stats_of(ch), dnf)]
+    want = columns or [name for name, _ in header["schema"]]
     if encoded_filter is not None and not apply_dnf:
         fcol, fvals = encoded_filter
         dnf_exact = [[(fcol, "in", sorted(fvals))]]
-    elif apply_dnf and dnf:
-        dnf_exact = dnf
     else:
-        dnf_exact = None
+        dnf_exact = dnf if apply_dnf else None
     arrays: dict[str, list[pa.Array]] = {name: [] for name in want}
-    with open(path, "rb") as f:
-
-        def read_blob(cm):
-            f.seek(blob_start + cm["offset"])
-            return f.read(cm["length"])
-
-        for ch in chunks:
-            metas = {cm["name"]: cm for cm in ch["columns"]}
-            decoded: dict[str, pa.Array] = {}
-
-            def col_decoded(name):
-                if name not in decoded:
-                    cm = metas[name]
-                    decoded[name] = auto.decode_column(
-                        read_blob(cm), cm["meta"], cm["page"], cm["payload_len"]
-                    )
-                return decoded[name]
-
-            mask = None
-            if dnf_exact:
-                def clause_mask(col, op, value):
-                    cm = metas[col]
-                    if col not in decoded:
-                        m = encoded_clause_mask(read_blob(cm), cm, op, value)
-                        if m is not None:
-                            return m
-                    arr = col_decoded(col)
-                    from .pruning import clause_compute
-
-                    return np.asarray(pc.fill_null(clause_compute(arr, op, value), False))
-
-                mask = None
-                for conj in dnf_exact:
-                    m = None
-                    for col, op, value in conj:
-                        cmask = clause_mask(col, op, value)
-                        m = cmask if m is None else (m & cmask)
-                        if not m.any():
-                            break
-                    mask = m if mask is None else (mask | m)
-                if mask is not None and not mask.any():
-                    continue  # no rows match: skip decoding projection entirely
-            for name in want:
-                if name not in metas:
-                    continue
-                arr = col_decoded(name)
-                if mask is not None:
-                    arr = arr.filter(pa.array(mask))
-                arrays[name].append(arr)
+    for chunk in read_chunks(path, dnf, chunk_indices, (header, blob_start)):
+        mask = chunk.mask(dnf_exact)
+        if mask is not None and not mask.any():
+            continue  # no rows match: skip decoding projection entirely
+        for name in want:
+            if name in chunk.columns:
+                arr = chunk.array(name)
+                arrays[name].append(arr if mask is None else arr.filter(pa.array(mask)))
     type_by_name = dict(header["schema"])
     out = {}
     for name in want:

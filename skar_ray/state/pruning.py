@@ -141,17 +141,17 @@ def _coerce(st: dict, value):
 
     Stats carry a type tag: ``"s"`` (string min/max, possibly truncated
     with a U+10FFFF upper-bound sentinel) or ``"n"`` (native JSON
-    numbers).  Legacy stats (no tag) were stringified — only safe to
-    compare against string query values.  Returns the coerced value or
-    None when comparison would be unsound (⇒ caller must not prune).
+    numbers).  Returns the coerced value or None when comparison would
+    be unsound (⇒ caller must not prune); untagged stats never prune.
     """
     t = st.get("t")
     if t == "n":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return None
         return value
-    # "s" or legacy: compare strings against strings only
-    return value if isinstance(value, str) else None
+    if t == "s" and isinstance(value, str):
+        return value
+    return None
 
 
 def clause_possible(st: dict, op: str, value) -> bool:

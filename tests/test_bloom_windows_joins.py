@@ -192,31 +192,6 @@ def test_hll_accuracy_and_merge():
     assert abs(hi.estimate() - 50000) / 50000 < 0.05
 
 
-def test_streaming_window_matches_batch(ray_session):
-    import ray.data
-
-    import numpy as np
-
-    from skar_ray.stages.windows import streaming_tumbling_counts, tumbling_window_counts
-
-    rng = np.random.default_rng(5)
-    n = 2000
-    df = pd.DataFrame(
-        {
-            "event_id": range(n),
-            "ts": pd.to_datetime("2024-01-01") + pd.to_timedelta(rng.integers(0, 10 * 86400, n), unit="s"),
-            "user_id": rng.integers(0, 20, n),
-            "value": rng.random(n) * 100,
-        }
-    )
-    ds = ray.data.from_pandas(df)
-    batch = tumbling_window_counts(ds)
-    stream = streaming_tumbling_counts(ray.data.from_pandas(df))
-    b = batch.sort_values(["user_id", "day"]).reset_index(drop=True)
-    s = stream.sort_values(["user_id", "day"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(b, s[b.columns], check_dtype=False)
-
-
 def test_validate_schema():
     import pyarrow as pa
     import pytest as pt
@@ -242,79 +217,12 @@ def test_validate_schema():
         validate_schema(generic_bad)
 
 
-def test_windows_hot_key_salted_paths_exact(ray_session):
-    """One synthetic user holding 50% of all events (the round-2
-    hot-key ceiling): the time-salted session / sliding / asof paths
-    must return exactly what the single-task-per-user paths return —
-    including sessions and windows that straddle salt-bucket
-    boundaries."""
+def _assert_windows_match_references(W, ds, df):
+    """The salted session / sliding / asof operators over ``ds`` equal
+    INDEPENDENT single-process pandas reimplementations over ``df``
+    (the same events)."""
     import numpy as np
     import pandas as pd
-    import ray.data
-
-    from skar_ray.stages import windows as W
-
-    rng = np.random.default_rng(4242)
-    n_hot, n_cold_users, n_cold_each = 4000, 40, 100
-    base = np.datetime64("2024-01-01T00:00:00", "us")
-    rows = []
-    eid = 0
-    # hot user 999: events spread over 10 days incl. bursts that cross
-    # midnight (salt="1D" boundaries) within the session gap and window
-    t = base
-    for i in range(n_hot):
-        # mixture: mostly small steps (minutes), occasional > gap jumps
-        step = int(rng.choice([120, 600, 1800, 9000], p=[0.5, 0.3, 0.15, 0.05]))
-        t = t + np.timedelta64(step, "s")
-        rows.append((eid, t, 999, "click" if rng.random() < 0.6 else "purchase",
-                     float(rng.random() * 20)))
-        eid += 1
-    for u in range(n_cold_users):
-        t = base + np.timedelta64(int(rng.integers(0, 86_400)), "s")
-        for i in range(n_cold_each):
-            t = t + np.timedelta64(int(rng.choice([300, 5400])), "s")
-            rows.append((eid, t, u, "click" if rng.random() < 0.5 else "purchase",
-                         float(rng.random() * 20)))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id", "event_type", "value"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    ds = ray.data.from_pandas(df.sample(frac=1.0, random_state=7).reset_index(drop=True))
-
-    for fn, kw in [
-        (W.session_windows, dict(gap_minutes=60)),
-        (W.sliding_window_peak, dict(window="6h")),
-        (W.asof_join_events, dict(left_type="purchase", right_type="click")),
-    ]:
-        salted = fn(ds, salt_freq="1D", **kw)
-        unsalted = fn(ds, salt_freq=None, **kw)
-        pd.testing.assert_frame_equal(salted, unsalted), fn.__name__
-
-
-@pytest.mark.parametrize("seed", [11, 77])
-def test_salted_windows_match_pandas_reference(ray_session, seed):
-    """Randomized cross-check: the salted session / sliding / asof
-    operators must match INDEPENDENT single-process pandas
-    reimplementations (not just the unsalted Ray path) on random event
-    sets whose sessions and windows straddle salt boundaries."""
-    import numpy as np
-    import pandas as pd
-    import ray.data
-
-    from skar_ray.stages import windows as W
-
-    rng = np.random.default_rng(seed)
-    rows = []
-    eid = 0
-    base = np.datetime64("2024-03-01T00:00:00", "us")
-    for u in range(12):
-        t = base + np.timedelta64(int(rng.integers(0, 86_400)), "s")
-        for _ in range(int(rng.integers(20, 120))):
-            t = t + np.timedelta64(int(rng.choice([60, 1200, 4000, 40_000])), "s")
-            rows.append((eid, t, u, rng.choice(["click", "purchase"]), float(rng.random())))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id", "event_type", "value"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    ds = ray.data.from_pandas(df.sample(frac=1.0, random_state=1).reset_index(drop=True))
 
     # sessionization reference
     gap = pd.Timedelta(minutes=60)
@@ -358,6 +266,76 @@ def test_salted_windows_match_pandas_reference(ray_session, seed):
                                            "last_right_ts": "datetime64[us]"}))
     got = W.asof_join_events(ds, salt_freq="1D")
     pd.testing.assert_frame_equal(got, ref)
+
+
+def test_windows_hot_key_salted_paths_exact(ray_session):
+    """One synthetic user holding 50% of all events (the round-2
+    hot-key ceiling): the time-salted session / sliding / asof paths
+    must return exactly what the single-process pandas references
+    return — including sessions and windows that straddle salt-bucket
+    boundaries."""
+    import numpy as np
+    import pandas as pd
+    import ray.data
+
+    from skar_ray.stages import windows as W
+
+    rng = np.random.default_rng(4242)
+    n_hot, n_cold_users, n_cold_each = 4000, 40, 100
+    base = np.datetime64("2024-01-01T00:00:00", "us")
+    rows = []
+    eid = 0
+    # hot user 999: events spread over 10 days incl. bursts that cross
+    # midnight (salt="1D" boundaries) within the session gap and window
+    t = base
+    for i in range(n_hot):
+        # mixture: mostly small steps (minutes), occasional > gap jumps
+        step = int(rng.choice([120, 600, 1800, 9000], p=[0.5, 0.3, 0.15, 0.05]))
+        t = t + np.timedelta64(step, "s")
+        rows.append((eid, t, 999, "click" if rng.random() < 0.6 else "purchase",
+                     float(rng.random() * 20)))
+        eid += 1
+    for u in range(n_cold_users):
+        t = base + np.timedelta64(int(rng.integers(0, 86_400)), "s")
+        for i in range(n_cold_each):
+            t = t + np.timedelta64(int(rng.choice([300, 5400])), "s")
+            rows.append((eid, t, u, "click" if rng.random() < 0.5 else "purchase",
+                         float(rng.random() * 20)))
+            eid += 1
+    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id", "event_type", "value"])
+    df["ts"] = df["ts"].astype("datetime64[us]")
+    ds = ray.data.from_pandas(df.sample(frac=1.0, random_state=7).reset_index(drop=True))
+
+    _assert_windows_match_references(W, ds, df)
+
+
+@pytest.mark.parametrize("seed", [11, 77])
+def test_salted_windows_match_pandas_reference(ray_session, seed):
+    """Randomized cross-check: the salted session / sliding / asof
+    operators must match INDEPENDENT single-process pandas
+    reimplementations on random event sets whose sessions and windows
+    straddle salt boundaries."""
+    import numpy as np
+    import pandas as pd
+    import ray.data
+
+    from skar_ray.stages import windows as W
+
+    rng = np.random.default_rng(seed)
+    rows = []
+    eid = 0
+    base = np.datetime64("2024-03-01T00:00:00", "us")
+    for u in range(12):
+        t = base + np.timedelta64(int(rng.integers(0, 86_400)), "s")
+        for _ in range(int(rng.integers(20, 120))):
+            t = t + np.timedelta64(int(rng.choice([60, 1200, 4000, 40_000])), "s")
+            rows.append((eid, t, u, rng.choice(["click", "purchase"]), float(rng.random())))
+            eid += 1
+    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id", "event_type", "value"])
+    df["ts"] = df["ts"].astype("datetime64[us]")
+    ds = ray.data.from_pandas(df.sample(frac=1.0, random_state=1).reset_index(drop=True))
+
+    _assert_windows_match_references(W, ds, df)
 
 
 def test_window_as_dataset_equals_dataframe(events_ds, ray_session):

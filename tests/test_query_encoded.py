@@ -700,17 +700,20 @@ def test_range_clause_nonfinite_threshold(ray_session, tmp_path):
     assert query_encoded(store, columns=["k"], filters=[[("v", ">=", nan)]]).count() == 0
 
 
-def test_store_group_minmax_sum_null_values_and_keys(ray_session, tmp_path):
-    """SQL aggregate semantics on a store whose group AND value columns
-    contain nulls: COUNT(*) counts every row, SUM/MIN/MAX skip nulls
-    (NULL for an all-null group), null group keys form their own group.
-    Regression: the decode fallback used to smear value nulls into
-    INT64_MIN garbage and crash bincount on null group codes."""
+def test_grouped_operators_null_keys_and_values_match_duckdb(ray_session, tmp_path):
+    """Every grouped operator over the encoded form follows DuckDB on a
+    store whose group key, int value and string value columns all hold
+    NULLs: a NULL key is a group of its own, COUNT(*) counts every row,
+    SUM/MIN/MAX and the byte total skip NULLs (NULL for an all-NULL
+    group), and a NULL never matches a filter clause.  Regressions: the
+    decode fallbacks used to smear NULLs into INT64_MIN garbage
+    (negative byte totals, a crashing bincount on NULL group codes) and
+    to count a NULL key as the dictionary's first value."""
     import duckdb
     import numpy as np
     import pandas as pd
 
-    from skar_ray.pipelines.stats import store_group_minmax_sum
+    from skar_ray.pipelines import stats
 
     n = 3000
     rng = np.random.default_rng(11)
@@ -718,29 +721,47 @@ def test_store_group_minmax_sum_null_values_and_keys(ray_session, tmp_path):
     vals = rng.integers(-500, 500, n).astype(object)
     vals[rng.random(n) < 0.15] = None          # scattered value nulls
     vals[groups == "c"] = None                 # one ALL-null group
-    df = pd.DataFrame({"g": groups, "v": pd.array(vals, dtype="Int64")})
+    strs = np.array(["", "x", "yy", "zzz", "wwww"], dtype=object)[rng.integers(0, 5, n)]
+    strs[rng.random(n) < 0.15] = None
+    strs[groups == "c"] = None
+    df = pd.DataFrame({"g": groups, "v": pd.array(vals, dtype="Int64"), "s": strs})
     src = str(tmp_path / "nulls.parquet")
     pq.write_table(pa.Table.from_pandas(df), src)
     store = str(tmp_path / "nulls_store")
     run_encode_job(src, store, mode="sharded", chunk_target_bytes=16 << 10, resume=False)
 
-    res = store_group_minmax_sum(store, "g", "v")
-    exp = duckdb.sql(
-        f"""SELECT g AS value, COUNT(*) AS n,
-                   CAST(SUM(v) AS BIGINT) AS sum_v,
-                   MIN(v) AS min_v, MAX(v) AS max_v
-            FROM read_parquet('{src}') GROUP BY g
-            ORDER BY g NULLS LAST"""
-    ).df()
+    def oracle(select, group, where=""):
+        return duckdb.sql(
+            f"SELECT {select} FROM read_parquet('{src}') {where} "
+            f"GROUP BY {group} ORDER BY {group} NULLS LAST"
+        ).df()
 
-    assert len(res) == len(exp) == 4
-    for col in ("value", "n", "sum_v", "min_v", "max_v"):
-        got, want = res[col].tolist(), exp[col].tolist()
-        for a, b in zip(got, want):
-            if pd.isna(b):
-                assert pd.isna(a), (col, got, want)
-            else:
-                assert a == b or int(a) == int(b), (col, got, want)
+    def same(res, exp):
+        assert list(res.columns) == list(exp.columns)
+        assert len(res) == len(exp), (res, exp)
+        for col in exp.columns:
+            got, want = res[col].tolist(), exp[col].tolist()
+            for a, b in zip(got, want):
+                if pd.isna(b):
+                    assert pd.isna(a), (col, got, want)
+                else:
+                    assert a == b or int(a) == int(b), (col, got, want)
+
+    dnf = [[("v", ">=", 0)], [("s", "==", "yy")]]
+    cases = [
+        (stats.store_value_counts(store, "g"), oracle("g AS value, COUNT(*) AS n", "g")),
+        (stats.store_value_counts(store, "s"), oracle("s AS value, COUNT(*) AS n", "s")),
+        (stats.store_group_bytes(store, "g", "s"), oracle(
+            "g AS value, COUNT(*) AS n, CAST(SUM(strlen(s)) AS BIGINT) AS total_bytes", "g")),
+        (stats.store_group_pair_count(store, "g", "s"), oracle("g, s, COUNT(*) AS n", "g, s")),
+        (stats.store_filtered_group_count(store, "g", dnf), oracle(
+            "g AS value, COUNT(*) AS n", "g", "WHERE v >= 0 OR s = 'yy'")),
+        (stats.store_group_minmax_sum(store, "g", "v"), oracle(
+            "g AS value, COUNT(*) AS n, CAST(SUM(v) AS BIGINT) AS sum_v, "
+            "MIN(v) AS min_v, MAX(v) AS max_v", "g")),
+    ]
+    for res, exp in cases:
+        same(res, exp)
 
 
 def test_store_topk_prunes_and_matches_bruteforce(ray_session, tmp_path):

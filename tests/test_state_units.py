@@ -72,7 +72,7 @@ def test_manifest_roundtrip(tmp_path):
 
 
 def test_clause_possible_semantics():
-    st = {"min": "m", "max": "q"}
+    st = {"min": "m", "max": "q", "t": "s"}
     assert clause_possible(st, "==", "n")
     assert not clause_possible(st, "==", "z")
     assert clause_possible(st, "in", ["a", "p"])
@@ -89,7 +89,7 @@ def test_clause_possible_numeric_typed():
     """Regression (ADVICE r1): stringified numeric stats pruned
     lexicographically — min='50', max='1200' claimed '== 500'
     impossible.  Typed stats compare natively; untyped stats never
-    prune numeric values."""
+    prune."""
     st = {"min": 50, "max": 1200, "t": "n"}
     assert clause_possible(st, "==", 500)
     assert clause_possible(st, ">=", 200)
@@ -98,11 +98,13 @@ def test_clause_possible_numeric_typed():
     assert not clause_possible(st, ">", 1200)
     assert not clause_possible(st, "<", 50)
     assert clause_possible(st, "==", "500")  # string vs num stats: conservative
-    # legacy stringified stats + numeric query value: never prune
-    legacy = {"min": "50", "max": "1200"}
-    assert clause_possible(legacy, "==", 500)
-    assert clause_possible(legacy, ">=", 200)
-    assert clause_possible(legacy, "in", [500])
+    # untagged stats never prune, whatever the query value's type
+    untagged = {"min": "50", "max": "1200"}
+    assert clause_possible(untagged, "==", 500)
+    assert clause_possible(untagged, ">=", 200)
+    assert clause_possible(untagged, "in", [500])
+    assert clause_possible(untagged, "==", "zzz")
+    assert clause_possible(untagged, ">", "9")
 
 
 def test_encoded_clause_mask_float_exactness():
