@@ -55,9 +55,7 @@ def run_compact_job(
     # orphan sweep (same contract as run_encode_job): a re-compaction
     # into a previously-used dest_dir can stop producing some partition
     # ids, which would pollute the digest comparison below
-    manifest_mod.sweep_orphans(dest_dir, set(out.column("partition_id").to_pylist()))
-
-    dest_manifests = manifest_mod.scan_manifests(dest_dir)
+    dest_manifests = manifest_mod.sweep_orphans(dest_dir, set(out.column("partition_id").to_pylist()))
     src_rows = sum(m.n_rows for m in src_manifests.values())
     dest_rows = sum(out.column("n_rows").to_pylist())
 

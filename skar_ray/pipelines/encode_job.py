@@ -8,8 +8,9 @@ The Ray-native re-expression of the reference's write path
                                               # chosen once on a stratified sample
     per-pkey input fingerprints               # manifest resume filter
     run_hashed_encode (hash_exchange.py):
-      map tasks:    read file groups → assign_pkeys → split by pkey
-      reduce tasks: one per pkey → encode_partition
+      map tasks:    one wave; read file groups → assign_pkeys → one
+                    Arrow IPC stream per pkey per flush
+      reduce tasks: one per pkey, largest ready first → encode_partition
              each partition: lexsort → chunk → planned codecs → .skarc + manifest
 
 Two modes:
@@ -421,7 +422,7 @@ def run_encode_job(
     # store's contract is out_dir == encode(corpus_path) EXACTLY — drop
     # anything the job neither wrote nor resume-skipped.
     live = set(summary.column("partition_id").to_pylist()) if summary.num_rows else set()
-    manifest_mod.sweep_orphans(out_dir, live)
+    kept = manifest_mod.sweep_orphans(out_dir, live)
 
     job = {
         "corpus": corpus_path,
@@ -438,7 +439,7 @@ def run_encode_job(
         from .hash_exchange import planned_codecs
 
         realized: Counter = Counter()
-        for m in manifest_mod.scan_manifests(out_dir).values():
+        for m in kept.values():
             realized.update({n: st["enc_bytes"] for n, st in m.columns.items()})
         job["codec_plan"] = {
             n: {"codec": c, "estimates": est, "enc_bytes": realized[n]}

@@ -10,13 +10,22 @@ minimal exchange with raw Ray tasks (the documented last-resort case:
 the Dataset API cannot express a sort-free hash exchange in this
 version):
 
-    map task  (one per group of sources): stream each source's rows
-              into a bounded buffer (``_MAP_BUFFER_BYTES``, 128 MiB) →
-              assign pkeys → hash-split into per-pkey sub-tables →
-              ``ray.put`` each → return {pkey: [refs]} — worker heap is
-              bounded by the buffer, not the input file size
-    reduce    (one per pkey): ray.get(refs) → concat →
-              ``encode_partition``
+    map task  (one per group of sources; min(sources, CPUs) contiguous
+              groups of near-equal count, so the maps run in one wave):
+              stream each source's rows into a bounded buffer
+              (``_MAP_BUFFER_BYTES``, 128 MiB) → assign pkeys → write
+              each pkey's rows of the flush as ONE Arrow IPC stream →
+              ``ray.put`` it as a uint8 array → return
+              {pkey: [(ref, nbytes)]} — worker heap is bounded by the
+              buffer, not the input file size
+    reduce    (one per pkey): ray.get(refs) → open the streams
+              zero-copy → concat → ``encode_partition``
+
+One object per (flush, pkey): an opaque buffer skips Ray's per-column
+Arrow serializer, and fewer, larger flushes mean fewer puts.  Packing a
+whole flush into one object that reduces slice was faster still but
+raised peak worker RSS by ~19% (every reduce maps the whole flush to
+read its own slice).
 
 A source is a parquet file path, read batch by batch, or a container
 source (``container_sources``: store dir, data file, partition id,
@@ -45,9 +54,13 @@ No global map→reduce barrier: a cheap metadata pre-pass records which
 FILES contain which REPOS, so each pkey's set of contributing map
 groups is known up front and its reduce launches the moment those
 groups finish (``ray.wait`` loop) — map stragglers only delay their
-own partitions, not the whole reduce phase.  A container has no repo
-set, so a group holding one contributes to every pkey; pkeys that only
-containers emit launch once every map is done.
+own partitions, not the whole reduce phase.  Pkeys that become ready
+together launch largest first, by the bytes the maps reported.  A
+container has no repo set, so a group holding one contributes to every
+pkey; pkeys that only containers emit launch once every map is done.
+The remote functions are called only through ``.remote(...)`` with
+positional arguments (``tests/test_hash_exchange.py``), so a wrapper
+that replaces them sees every call.
 """
 
 from __future__ import annotations
@@ -60,7 +73,7 @@ import ray
 
 from ..stages import partitioner
 from ..stages.decoder import decode_manifest_batch
-from ..stages.encoder import encode_partition
+from ..stages.encoder import SUMMARY_SCHEMA, encode_partition
 
 # heap bound for the map-side read buffer: rows accumulate to this many
 # bytes, then split+put — a giant input file streams through in bounded
@@ -101,11 +114,11 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
 @ray.remote
 def _map_split(sources: list, plan: "partitioner.PartitionPlan",
                skip_pkeys: frozenset[int],
-               buffer_bytes: int) -> dict[int, list["ray.ObjectRef"]]:
+               buffer_bytes: int) -> dict[int, list[tuple["ray.ObjectRef", int]]]:
     import numpy as np
     import pyarrow.compute as pc
 
-    out: dict[int, list[ray.ObjectRef]] = {}
+    out: dict[int, list[tuple[ray.ObjectRef, int]]] = {}
 
     def _split_put(t: pa.Table) -> None:
         keyed = partitioner.assign_pkeys(t, plan)
@@ -125,8 +138,14 @@ def _map_split(sources: list, plan: "partitioner.PartitionPlan",
             pkey = int(pk[start])
             if pkey in skip_pkeys:
                 continue
-            ref = ray.put(srt.slice(start, end - start).combine_chunks())
-            out.setdefault(pkey, []).append(ref)
+            # one Arrow IPC stream per (flush, pkey): one opaque buffer
+            # for the object store instead of Ray's per-column Arrow
+            # serializer, put as a uint8 view so it carries ``.nbytes``
+            sink = pa.BufferOutputStream()
+            with pa.ipc.new_stream(sink, srt.schema) as w:
+                w.write_table(srt.slice(start, end - start))
+            stream = np.frombuffer(sink.getvalue(), dtype=np.uint8)
+            out.setdefault(pkey, []).append((ray.put(stream), stream.nbytes))
 
     # stream tables through a bounded accumulation buffer: peak worker
     # heap is ~buffer + its sorted copy, independent of file size
@@ -148,7 +167,8 @@ def _reduce_encode(pkey: int, refs: list["ray.ObjectRef"], out_dir: str,
                    chunk_target_bytes: int, input_fingerprint: str,
                    codec_overrides: dict | None, codec_plan: dict | None,
                    validate: bool = True) -> dict:
-    t = _concat(ray.get(list(refs)))
+    # the streams open zero-copy over the object store's buffers
+    t = _concat([pa.ipc.open_stream(pa.py_buffer(b)).read_all() for b in ray.get(list(refs))])
     summary = encode_partition(t, out_dir, chunk_target_bytes, input_fingerprint,
                                codec_overrides, validate=validate, codec_plan=codec_plan)
     return {k: summary.column(k)[0].as_py() for k in summary.column_names}
@@ -214,9 +234,10 @@ def run_hashed_encode(
     codec_overrides: dict | None = None,
     validate: bool = True,
 ) -> pa.Table:
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    per_map = max(1, len(sources) // (2 * ncpu))  # sources per map task
-    groups = [sources[i : i + per_map] for i in range(0, len(sources), per_map)]
+    # one wave of maps: min(sources, CPUs) contiguous groups of
+    # near-equal count, so each map flushes fewer, larger buffers
+    n = min(len(sources), int(ray.cluster_resources().get("CPU", 8)))
+    groups = [sources[i * len(sources) // n : (i + 1) * len(sources) // n] for i in range(n)]
 
     # launch the heavy maps FIRST; the metadata pre-pass overlaps them
     map_futs = {(_map_split.remote(g, plan, skip_pkeys, _MAP_BUFFER_BYTES)): gi
@@ -245,57 +266,36 @@ def run_hashed_encode(
 
     # ray.wait-driven: launch each pkey's reduce the moment every map
     # group that can contribute to it has finished
-    done_maps: dict[int, dict[int, "ray.ObjectRef"]] = {}
+    done_maps: dict[int, dict[int, list]] = {}
     launched: set[int] = set()
     futs = []
 
-    def _launch_ready():
-        done_set = set(done_maps)
-        for pk, needed in contrib.items():
-            if pk in launched or not needed <= done_set:
-                continue
-            refs = [r for gi in sorted(needed) if pk in done_maps[gi]
-                    for r in done_maps[gi][pk]]
-            if refs:
+    def _launch(ready: dict[int, list]) -> None:
+        # largest first, by the bytes the maps reported: the longest
+        # reduce starts earliest instead of setting the tail
+        for pk, shipped in sorted(ready.items(), key=lambda kv: (-sum(n for _, n in kv[1]), kv[0])):
+            launched.add(pk)
+            if shipped:
                 # ship only THIS pkey's fingerprint string: pickling the
                 # whole per-partition dict into every call would be
                 # O(P²) bytes across the reduce wave at scale
                 futs.append(_reduce_encode.remote(
-                    pk, refs, out_dir, chunk_target_bytes,
+                    pk, [r for r, _ in shipped], out_dir, chunk_target_bytes,
                     input_fingerprint.get(pk, ""), codec_overrides, codec_plan, validate,
                 ))
-            launched.add(pk)
+
+    def _shipped(pk: int, gis) -> list:
+        return [x for gi in sorted(gis) for x in done_maps[gi].get(pk, [])]
 
     pending = dict(map_futs)
     while pending:
         ready, _ = ray.wait(list(pending.keys()), num_returns=1)
         for fut in ready:
             done_maps[pending.pop(fut)] = ray.get(fut)
-        _launch_ready()
+        _launch({pk: _shipped(pk, needed) for pk, needed in contrib.items()
+                 if pk not in launched and needed <= done_maps.keys()})
     # pkeys with unknown contributors — those only containers emit —
     # launch once every map is done
-    leftovers: dict[int, list] = {}
-    for gi, d in done_maps.items():
-        for pk, refs in d.items():
-            if pk not in launched:
-                leftovers.setdefault(pk, []).extend(refs)
-    for pk, refs in sorted(leftovers.items()):
-        futs.append(_reduce_encode.remote(
-            pk, refs, out_dir, chunk_target_bytes,
-            input_fingerprint.get(pk, ""), codec_overrides, codec_plan, validate,
-        ))
+    _launch({pk: _shipped(pk, done_maps) for d in done_maps.values() for pk in d if pk not in launched})
     rows = ray.get(futs)
-    if not rows:
-        return pa.table(
-            {
-                "partition_id": pa.array([], type=pa.int64()),
-                "n_rows": pa.array([], type=pa.int64()),
-                "raw_bytes": pa.array([], type=pa.int64()),
-                "enc_bytes": pa.array([], type=pa.int64()),
-                "content_sha256": pa.array([], type=pa.string()),
-                "skipped": pa.array([], type=pa.bool_()),
-            }
-        )
-    import pandas as pd
-
-    return pa.Table.from_pandas(pd.DataFrame(rows))
+    return pa.Table.from_pylist(rows) if rows else SUMMARY_SCHEMA.empty_table()

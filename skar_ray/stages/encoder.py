@@ -118,6 +118,12 @@ def partition_digest(row_digests: list[bytes]) -> str:
     return h.hexdigest()
 
 
+# one row per partition an encode wrote or resume-skipped
+SUMMARY_SCHEMA = pa.schema([("partition_id", pa.int64()), ("n_rows", pa.int64()),
+                           ("raw_bytes", pa.int64()), ("enc_bytes", pa.int64()),
+                           ("content_sha256", pa.string()), ("skipped", pa.bool_())])
+
+
 def chunk_slices(table: pa.Table, target_bytes: int, column: str = "content") -> list[tuple[int, int]]:
     """(offset, length) slices with ~target_bytes of content each."""
     n = table.num_rows
@@ -167,16 +173,7 @@ def encode_partition(
     being published and resume-skipped until a later verify job."""
     t0 = time.time()
     if group.num_rows == 0:
-        return pa.table(
-            {
-                "partition_id": pa.array([], type=pa.int64()),
-                "n_rows": pa.array([], type=pa.int64()),
-                "raw_bytes": pa.array([], type=pa.int64()),
-                "enc_bytes": pa.array([], type=pa.int64()),
-                "content_sha256": pa.array([], type=pa.string()),
-                "skipped": pa.array([], type=pa.bool_()),
-            }
-        )
+        return SUMMARY_SCHEMA.empty_table()
     timings: dict[str, float] = {}
     pid = int(group.column("pkey")[0].as_py()) if "pkey" in group.column_names else 0
     data = group.drop_columns(["pkey"]) if "pkey" in group.column_names else group

@@ -53,8 +53,9 @@ class PartitionPlan:
 
 
 def content_sizes(batch: pa.Table, column: str = "content") -> np.ndarray:
-    """Per-row value byte lengths without copying the data buffer."""
-    return np.asarray(pc.binary_length(batch.column(column))).astype(np.int64)
+    """Per-row value byte lengths without copying the data buffer; a
+    NULL counts as 0 bytes (its null length would cast to INT64_MIN)."""
+    return np.asarray(pc.fill_null(pc.binary_length(batch.column(column)), 0)).astype(np.int64)
 
 
 def input_paths(corpus_path: str) -> list[str]:

@@ -82,7 +82,7 @@ def scan_manifests(out_dir: str) -> dict[int, PartitionManifest]:
     return out
 
 
-def sweep_orphans(out_dir: str, live_ids) -> int:
+def sweep_orphans(out_dir: str, live_ids) -> dict[int, PartitionManifest]:
     """Remove every done partition NOT in ``live_ids`` (container file
     + manifest).  The rollback-truncation analog shared by encode,
     compact and the IVF index build (reference:
@@ -91,16 +91,16 @@ def sweep_orphans(out_dir: str, live_ids) -> int:
     manifests would otherwise be served by every query.  Callers invoke
     this ONLY after a fully-successful job — a crashed job never
     sweeps.  Missing files are tolerated (idempotent under races).
-    Returns the number of partitions removed."""
+    Returns the live partitions' manifests, as read by the scan."""
     live = {int(p) for p in live_ids}
-    removed = 0
+    kept: dict[int, PartitionManifest] = {}
     for pid, m in scan_manifests(out_dir).items():
         if pid in live:
+            kept[pid] = m
             continue
-        removed += 1
         for p in (os.path.join(out_dir, m.data_file), _path_for(out_dir, pid)):
             try:
                 os.remove(p)
             except FileNotFoundError:
                 pass
-    return removed
+    return kept

@@ -36,6 +36,21 @@ def test_chunk_slices_empty():
     assert chunk_slices(_table([]), 100) == []
 
 
+def test_null_content_counts_as_zero_bytes(ray_session):
+    """A NULL ``content`` is 0 bytes to the chunker and the size
+    pre-pass: its null ``binary_length`` must not cast to INT64_MIN,
+    which let one chunk swallow every row and sank its repo's bytes."""
+    import ray
+
+    from skar_ray.stages.partitioner import repo_size_prepass
+
+    t = _table(["x" * 100] * 5 + [None] + ["x" * 100] * 5)
+    assert chunk_slices(t, target_bytes=150) == [(0, 2), (2, 2), (4, 3), (7, 2), (9, 2)]
+    t = t.append_column("repo", pa.array(["a"] * 6 + ["b"] * 5))
+    sizes = repo_size_prepass(ray.data.from_arrow(t)).to_pylist()
+    assert sorted((r["repo"], r["bytes"], r["rows"]) for r in sizes) == [("a", 500, 6), ("b", 500, 5)]
+
+
 def test_lexsort_orders_by_all_keys():
     t = pa.table(
         {
