@@ -40,7 +40,7 @@ import pyarrow as pa
 import ray.data
 
 from ..stages import partitioner
-from ..stages.encoder import shard_encode_batch
+from ..stages.encoder import shard_encode_batch, summary_table
 from ..state import manifest as manifest_mod
 
 
@@ -397,25 +397,8 @@ def run_encode_job(
             skip_pkeys=frozenset(done.keys()), codec_overrides=codec_overrides,
             validate=validate,
         )
-        if done:
-            import pandas as pd
-
-            skipped_rows = pd.DataFrame(
-                [
-                    {
-                        "partition_id": m.partition_id,
-                        "n_rows": m.n_rows,
-                        "raw_bytes": m.raw_bytes,
-                        "enc_bytes": m.enc_bytes,
-                        "content_sha256": m.content_sha256,
-                        "skipped": True,
-                    }
-                    for m in done.values()
-                ]
-            )
-            summary = pa.Table.from_pandas(
-                pd.concat([summary.to_pandas(), skipped_rows], ignore_index=True)
-            )
+        summary = pa.concat_tables([summary, summary_table(done.values(), True)],
+                                   promote_options="default")
 
     # orphan sweep: a changed corpus (or plan) can stop producing some
     # partition ids entirely.  After a fully-successful encode, the

@@ -124,6 +124,16 @@ SUMMARY_SCHEMA = pa.schema([("partition_id", pa.int64()), ("n_rows", pa.int64())
                            ("content_sha256", pa.string()), ("skipped", pa.bool_())])
 
 
+def summary_table(manifests, skipped: bool) -> pa.Table:
+    """The encode summary's rows for ``manifests``."""
+    return pa.Table.from_pylist(
+        [{"partition_id": m.partition_id, "n_rows": m.n_rows, "raw_bytes": m.raw_bytes,
+          "enc_bytes": m.enc_bytes, "content_sha256": m.content_sha256, "skipped": skipped}
+         for m in manifests],
+        schema=SUMMARY_SCHEMA,
+    )
+
+
 def chunk_slices(table: pa.Table, target_bytes: int, column: str = "content") -> list[tuple[int, int]]:
     """(offset, length) slices with ~target_bytes of content each."""
     n = table.num_rows
@@ -173,7 +183,7 @@ def encode_partition(
     being published and resume-skipped until a later verify job."""
     t0 = time.time()
     if group.num_rows == 0:
-        return SUMMARY_SCHEMA.empty_table()
+        return summary_table([], False)
     timings: dict[str, float] = {}
     pid = int(group.column("pkey")[0].as_py()) if "pkey" in group.column_names else 0
     data = group.drop_columns(["pkey"]) if "pkey" in group.column_names else group
@@ -267,16 +277,7 @@ def encode_partition(
                "timings": {k: round(v, 3) for k, v in timings.items()}},
     )
     manifest.write_manifest(out_dir, m)
-    return pa.table(
-        {
-            "partition_id": pa.array([pid], type=pa.int64()),
-            "n_rows": pa.array([data.num_rows], type=pa.int64()),
-            "raw_bytes": pa.array([raw_total], type=pa.int64()),
-            "enc_bytes": pa.array([enc_total], type=pa.int64()),
-            "content_sha256": pa.array([pdigest]),
-            "skipped": pa.array([False]),
-        }
-    )
+    return summary_table([m], False)
 
 
 def block_pid(batch: pa.Table) -> int:
@@ -317,17 +318,7 @@ def shard_encode_batch(
     with ``batch_size=None`` so each call sees one whole block."""
     pid = block_pid(batch)
     if pid in done_ids:
-        m = manifest.read_manifest(out_dir, pid)
-        return pa.table(
-            {
-                "partition_id": pa.array([pid], type=pa.int64()),
-                "n_rows": pa.array([m.n_rows], type=pa.int64()),
-                "raw_bytes": pa.array([m.raw_bytes], type=pa.int64()),
-                "enc_bytes": pa.array([m.enc_bytes], type=pa.int64()),
-                "content_sha256": pa.array([m.content_sha256]),
-                "skipped": pa.array([True]),
-            }
-        )
+        return summary_table([manifest.read_manifest(out_dir, pid)], True)
     batch = batch.append_column("pkey", pa.array(np.full(batch.num_rows, pid), type=pa.int64()))
     return encode_partition(
         batch, out_dir, chunk_target_bytes, input_fingerprint,
