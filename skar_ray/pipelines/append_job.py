@@ -132,10 +132,10 @@ def run_append_job(
         }
     # one exchange over the pending affected containers plus the delta;
     # delta rows of already-merged partitions drop at the map side.
-    # The decode checks each container's digest: a crash BETWEEN
-    # container publish and manifest write leaves a torn partition (new
-    # bytes, old manifest) whose silent re-append would duplicate rows —
-    # the check makes that state fail loudly instead
+    # Each reduce publishes a new container and then its manifest, so a
+    # crash between the two leaves the old manifest on its old,
+    # untouched file: the retry re-merges that partition from it, and
+    # the sweep below removes every file no manifest references
     summary = run_hashed_encode(
         container_sources(out_dir, [manifests[pid] for pid in sorted(pending & set(manifests))])
         + partitioner.input_paths(new_rows_path),
@@ -144,10 +144,12 @@ def run_append_job(
         skip_pkeys=frozenset(already), codec_overrides=codec_overrides,
     )
     save_dir_plan(out_dir, plan, target_bytes)
+    live = manifest_mod.scan_manifests(out_dir)
+    manifest_mod.sweep_orphans(out_dir, live)
     return {
         "affected_partitions": sorted(affected),
         "reencoded": summary.num_rows,
         "appended_rows": int(delta_rows),
         "already_done": len(already),
-        "total_partitions": len(manifest_mod.scan_manifests(out_dir)),
+        "total_partitions": len(live),
     }

@@ -11,17 +11,17 @@ partition-level pruning stats, so the derived column immediately
 participates in partition AND chunk pruning, DNF filters, and
 projections through the normal query_encoded path.
 
-Crash safety: the container rewrite is atomic (temp + validate +
-rename) and the manifest update follows it; a crash between the two
-leaves a container that already has the column but a manifest that
-doesn't — the next run detects that and backfills the manifest from the
-container without rewriting data.
+Crash safety: the new container is published under a fresh name
+(``container.new_name``) and the manifest write that points at it is
+the commit; a crash before that write leaves the old manifest on its
+old, untouched file, the re-run derives that partition again, and the
+job's final ``manifest.sweep_orphans`` removes every superseded file.
 
 Reference analog: the post-write index build over already-flushed
 folders (/root/reference/skar/src/build_parquet_idx.rs:19-199) —
 generalized from stats to a queryable derived column.
 
-100 TB shape: write amplification is one container rewrite per
+100 TB shape: write amplification is one container copy per
 partition (sequential copy of its blobs plus the new column's bytes);
 nothing global, no exchange, resumable at partition granularity.
 """
@@ -53,14 +53,37 @@ def _col_accounting(header: dict, name: str) -> tuple[str, int, int]:
     return codec, raw, enc
 
 
-def _update_manifest(out_dir: str, pid: int, name: str, header: dict, col) -> None:
-    m = manifest_mod.read_manifest(out_dir, pid)
-    codec, raw, enc = _col_accounting(header, name)
-    m.columns[name] = {"codec": codec, "raw_bytes": raw, "enc_bytes": enc}
-    m.raw_bytes += raw
-    m.enc_bytes += enc
-    m.extra.setdefault("stats", {})[name] = column_stats(name, col)
-    manifest_mod.write_manifest(out_dir, m)
+def _per_partition(out_dir: str, todo, step) -> tuple[int, int, int]:
+    """Run ``step(manifest, src_path, dest_path) -> bytes`` in Ray tasks
+    for every partition whose manifest passes ``todo``.  ``step``
+    publishes ``dest_path`` (a fresh ``container.new_name``) from the
+    partition's container and updates the manifest; writing that
+    manifest is the commit, and the job's final sweep removes the
+    superseded files.  Returns (partitions done, skipped, bytes)."""
+    manifests = manifest_mod.scan_manifests(out_dir)
+    if not manifests:
+        raise ValueError(f"no completed partitions under {out_dir}")
+    work = [{"pid": pid} for pid, m in sorted(manifests.items()) if todo(m)]
+    if not work:
+        return 0, len(manifests), 0
+
+    def run_batch(batch: pa.Table) -> pa.Table:
+        done = []
+        for pid in batch.column("pid").to_pylist():
+            m = manifest_mod.read_manifest(out_dir, pid)
+            fname = container_mod.new_name(pid)
+            done.append(step(m, os.path.join(out_dir, m.data_file), os.path.join(out_dir, fname)))
+            m.data_file = fname
+            manifest_mod.write_manifest(out_dir, m)
+        return pa.table({"bytes": pa.array(done, type=pa.int64())})
+
+    res = (
+        ray.data.from_items(work, override_num_blocks=len(work))
+        .map_batches(run_batch, batch_format="pyarrow", num_cpus=1)
+        .to_pandas()
+    )
+    manifest_mod.sweep_orphans(out_dir, manifests)
+    return len(res), len(manifests) - len(work), int(res["bytes"].sum())
 
 
 def run_derive_column_job(
@@ -76,77 +99,35 @@ def run_derive_column_job(
     of an encoded store.  ``fn`` must be deterministic and vectorized
     (pa.Table of ``input_columns`` in partition sort order → Array of
     the same length).  Idempotent: partitions whose manifest already
-    records the column are skipped; containers that have the column but
-    lost the manifest update (crash window) are backfilled."""
-    manifests = manifest_mod.scan_manifests(out_dir)
-    if not manifests:
-        raise ValueError(f"no completed partitions under {out_dir}")
-    work = [
-        {"pid": pid, "data_file": m.data_file}
-        for pid, m in sorted(manifests.items())
-        if name not in m.columns
-    ]
-    if not work:
-        return {"partitions": 0, "backfilled": 0, "skipped": len(manifests)}
+    records the column are skipped."""
 
-    def derive_batch(batch: pa.Table) -> pa.Table:
-        pids, bytes_, backfilled = [], [], []
-        for row in batch.to_pylist():
-            pid, path = row["pid"], os.path.join(out_dir, row["data_file"])
-            header, _ = container_mod.read_header(path)
-            if any(n == name for n, _ in header["schema"]):
-                # crash window: container has the column, manifest lost
-                # the update — recover stats from the container only
-                col = container_mod.read_container(path, columns=[name]).column(name)
-                col = col.combine_chunks()
-                _update_manifest(out_dir, pid, name, header, col)
-                pids.append(pid)
-                bytes_.append(_col_accounting(header, name)[2])
-                backfilled.append(True)
-                continue
-            src = container_mod.read_container(path, columns=input_columns)
-            col = fn(src)
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
+    def derive(m, src: str, dest: str) -> int:
+        col = fn(container_mod.read_container(src, columns=input_columns))
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
 
-            validator = None
-            if validate:
-                def validator(tmp_path: str) -> None:
-                    # decode the appended column from the temp file and
-                    # compare bit-exact before the publishing rename
-                    got = container_mod.read_container(tmp_path, columns=[name])
-                    if not got.column(name).combine_chunks().equals(col):
-                        raise IOError(
-                            f"partition {pid}: derived column {name!r} failed "
-                            f"pre-publish decode verification"
-                        )
+        validator = None
+        if validate:
+            def validator(tmp_path: str) -> None:
+                # decode the appended column from the temp file and
+                # compare bit-exact before the publishing rename
+                got = container_mod.read_container(tmp_path, columns=[name])
+                if not got.column(name).combine_chunks().equals(col):
+                    raise IOError(
+                        f"partition {m.partition_id}: derived column {name!r} failed "
+                        f"pre-publish decode verification"
+                    )
 
-            new_header = container_mod.append_column(
-                path, name, col, codec=codec, validator=validator,
-            )
-            _update_manifest(out_dir, pid, name, new_header, col)
-            pids.append(pid)
-            bytes_.append(_col_accounting(new_header, name)[2])
-            backfilled.append(False)
-        return pa.table(
-            {
-                "partition_id": pa.array(pids, type=pa.int64()),
-                "enc_bytes": pa.array(bytes_, type=pa.int64()),
-                "backfilled": pa.array(backfilled, type=pa.bool_()),
-            }
-        )
+        header = container_mod.append_column(src, dest, name, col, codec=codec, validator=validator)
+        codec_name, raw, enc = _col_accounting(header, name)
+        m.columns[name] = {"codec": codec_name, "raw_bytes": raw, "enc_bytes": enc}
+        m.raw_bytes += raw
+        m.enc_bytes += enc
+        m.extra.setdefault("stats", {})[name] = column_stats(name, col)
+        return enc
 
-    res = (
-        ray.data.from_items(work, override_num_blocks=len(work))
-        .map_batches(derive_batch, batch_format="pyarrow", num_cpus=1)
-        .to_pandas()
-    )
-    return {
-        "partitions": int(len(res)),
-        "backfilled": int(res["backfilled"].sum()),
-        "skipped": len(manifests) - len(work),
-        "enc_bytes": int(res["enc_bytes"].sum()),
-    }
+    done, skipped, enc = _per_partition(out_dir, lambda m: name not in m.columns, derive)
+    return {"partitions": done, "skipped": skipped, "enc_bytes": enc}
 
 
 # columns the engine's lineage depends on: content feeds the partition
@@ -156,52 +137,20 @@ _PROTECTED = frozenset(["content", "repo", "path", "commit"])
 
 def run_drop_column_job(out_dir: str, name: str) -> dict:
     """Drop column ``name`` from every partition, reclaiming its bytes
-    (container.drop_column copies surviving blobs verbatim).  Refuses
-    lineage columns (content / sort keys).  Idempotent: partitions
-    whose container no longer has the column only get their manifest
-    reconciled."""
+    (container.drop_column copies surviving blobs verbatim into a new
+    file; the sweep removes the old one).  Refuses lineage columns
+    (content / sort keys).  Idempotent: partitions whose manifest no
+    longer lists the column are skipped."""
     if name in _PROTECTED:
         raise ValueError(f"refusing to drop lineage column {name!r}")
-    manifests = manifest_mod.scan_manifests(out_dir)
-    if not manifests:
-        raise ValueError(f"no completed partitions under {out_dir}")
-    work = [
-        {"pid": pid, "data_file": m.data_file}
-        for pid, m in sorted(manifests.items())
-        if name in m.columns
-    ]
-    if not work:
-        return {"partitions": 0, "skipped": len(manifests), "reclaimed_bytes": 0}
 
-    def drop_batch(batch: pa.Table) -> pa.Table:
-        pids, reclaimed = [], []
-        for row in batch.to_pylist():
-            pid, path = row["pid"], os.path.join(out_dir, row["data_file"])
-            header, _ = container_mod.read_header(path)
-            if any(n == name for n, _ in header["schema"]):
-                header = container_mod.drop_column(path, name)
-            m = manifest_mod.read_manifest(out_dir, pid)
-            acct = m.columns.pop(name, None) or {"raw_bytes": 0, "enc_bytes": 0}
-            m.raw_bytes -= acct["raw_bytes"]
-            m.enc_bytes -= acct["enc_bytes"]
-            m.extra.get("stats", {}).pop(name, None)
-            manifest_mod.write_manifest(out_dir, m)
-            pids.append(pid)
-            reclaimed.append(acct["enc_bytes"])
-        return pa.table(
-            {
-                "partition_id": pa.array(pids, type=pa.int64()),
-                "reclaimed": pa.array(reclaimed, type=pa.int64()),
-            }
-        )
+    def drop(m, src: str, dest: str) -> int:
+        container_mod.drop_column(src, dest, name)
+        acct = m.columns.pop(name)
+        m.raw_bytes -= acct["raw_bytes"]
+        m.enc_bytes -= acct["enc_bytes"]
+        m.extra.get("stats", {}).pop(name, None)
+        return acct["enc_bytes"]
 
-    res = (
-        ray.data.from_items(work, override_num_blocks=len(work))
-        .map_batches(drop_batch, batch_format="pyarrow", num_cpus=1)
-        .to_pandas()
-    )
-    return {
-        "partitions": int(len(res)),
-        "skipped": len(manifests) - len(work),
-        "reclaimed_bytes": int(res["reclaimed"].sum()),
-    }
+    done, skipped, reclaimed = _per_partition(out_dir, lambda m: name in m.columns, drop)
+    return {"partitions": done, "skipped": skipped, "reclaimed_bytes": reclaimed}

@@ -26,9 +26,10 @@ from .encoder import partition_digest, row_sha256
 
 def _header_of(header_cache: dict, path: str) -> tuple[dict, int]:
     # (mtime_ns, size, header, blob_start) per path — parsed once per
-    # cache lifetime, stat-guarded so an atomically-replaced container
-    # (append/compact rewrite the same filename) never serves stale
-    # chunk offsets
+    # cache lifetime.  The jobs never rewrite a container (each write is
+    # a new name), but a store deleted and rewritten under caller-chosen
+    # names (``write_container`` takes any path) can reuse a path, so
+    # the stat guard stays: a stale header never serves chunk offsets
     st = os.stat(path)
     hit = header_cache.get(path)
     if hit is not None and hit[0] == st.st_mtime_ns and hit[1] == st.st_size:

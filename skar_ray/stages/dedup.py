@@ -919,18 +919,17 @@ _KEEP_DISTRIBUTED_THRESHOLD = 1_000_000
 
 
 def dedup_keep_list(ds: "ray.data.Dataset", pairs: pd.DataFrame,
-                    id_col: str = "doc_id",
-                    distributed_threshold: int = _KEEP_DISTRIBUTED_THRESHOLD) -> pd.DataFrame:
+                    id_col: str = "doc_id") -> pd.DataFrame:
     """The actual dedup deliverable: keep the min-id document of every
     near-dup cluster plus all unpaired documents.
 
-    Pair sets up to ``distributed_threshold`` run connected components
+    Pair sets up to ``_KEEP_DISTRIBUTED_THRESHOLD`` run connected components
     driver-side (pairs ≪ corpus) and ship the drop set ONCE via
     ``ray.put`` (a broadcast read per worker process, not a per-task
     closure copy); larger pair sets switch to the fully distributed
     path (``dedup_keep_list_distributed``) where neither the label
     table nor the drop set ever materializes on the driver."""
-    if len(pairs) > distributed_threshold:
+    if len(pairs) > _KEEP_DISTRIBUTED_THRESHOLD:
         kept = dedup_keep_list_distributed(
             ds, ray.data.from_pandas(pairs[["doc_a", "doc_b"]]), id_col=id_col
         )

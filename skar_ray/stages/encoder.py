@@ -15,8 +15,10 @@ the hash exchange's reduce task), mirroring the reference's per-folder flush
 4. per column: the corpus's planned codec (``codec_plan``, string-like
    columns) or one auto-selected for this partition; encode chunk by
    chunk;
-5. write `part-NNNNNN.skarc` + manifest row atomically (temp+rename,
-   skar_runner.rs:296-321).
+5. publish the container under a fresh name (``container.new_name``,
+   temp + validate + rename, skar_runner.rs:296-321), then write the
+   manifest row that points at it — that write is the commit; a
+   superseded file is left to ``manifest.sweep_orphans``.
 
 Also provides ``shard_encode_batch`` for the no-shuffle path: each
 *input block* is treated as a partition (partition id = deterministic
@@ -202,7 +204,7 @@ def encode_partition(
 
     t1 = time.time()
     slices = chunk_slices(data, chunk_target_bytes)
-    fname = f"part-{pid:06d}.skarc"
+    fname = container.new_name(pid)
     os.makedirs(out_dir, exist_ok=True)
 
     validator = None

@@ -9,9 +9,14 @@ codec name, codec meta, page codec, offsets into the blob area, the
 size triple (raw arrow bytes / codec payload bytes / final blob bytes)
 and typed pruning stats.
 
-Written atomically: the caller writes to ``<path>.tmp`` and renames —
-the reference's temp-folder + rename publish step
-(/root/reference/skar/src/skar_runner.rs:296-321).
+A container file is never rewritten.  Every write (``write_container``,
+``append_column``, ``drop_column``) goes through ``_publish`` to a fresh
+name from ``new_name`` — temp file, optional validator, rename — and the
+caller's manifest write that then points ``data_file`` at it is the
+commit; ``manifest.sweep_orphans`` later removes the superseded file.
+The reference's temp-folder + rename publish step followed by the mdbx
+insert (skar/src/write_parquet.rs:155-230,
+db/mod.rs:96-215).
 
 Read through one chunk reader, ``read_chunks`` — the analog of the
 reference's projected, row-group-pruned Parquet reader
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 import struct
 
 import numpy as np
@@ -98,11 +104,42 @@ def _plan_column(col, codec_override: str | None = None, shared_table=None):
     return col, codec, fsst_table, estimates
 
 
+def new_name(pid: int) -> str:
+    """A fresh container file name for partition ``pid``; no write ever
+    reuses one, so a published file is never replaced."""
+    return f"part-{pid:06d}-{secrets.token_hex(6)}.skarc"
+
+
+def _publish(path: str, header: dict, blobs, validator) -> dict:
+    """Write ``header`` + ``blobs`` to ``path`` via a temp file: the
+    ``validator``, if given, is called with the temp path before the
+    rename; a raising validator removes the temp file and propagates,
+    so nothing is published."""
+    hjson = json.dumps(header).encode("utf-8")
+    hz = pa.Codec("zstd", compression_level=3).compress(hjson).to_pybytes()
+    tmp = f"{path}.tmp-{os.getpid()}"  # unique per writer: a retried/speculative task must not tear a peer's temp file
+    with open(tmp, "wb") as f:
+        f.write(MAGIC2)
+        f.write(struct.pack("<QQ", len(hz), len(hjson)))
+        f.write(hz)
+        for b in blobs:
+            f.write(b)
+    if validator is not None:
+        try:
+            validator(tmp)
+        except Exception:
+            os.unlink(tmp)
+            raise
+    os.replace(tmp, path)
+    return header
+
+
 def write_container(path: str, table: pa.Table, chunk_rows: list[tuple[int, int]] | None = None,
                     codec_overrides: dict[str, str] | None = None,
                     extra: dict | None = None, validator=None,
                     codec_plan: dict | None = None) -> dict:
-    """Encode `table` chunk-by-chunk and write the container atomically.
+    """Encode `table` chunk-by-chunk and publish it as a new file at
+    ``path`` (a ``new_name``; nothing is ever written over).
 
     ``chunk_rows`` is a list of (offset, length) slices; default one
     chunk.  Returns the header dict (with per-column byte accounting).
@@ -175,35 +212,20 @@ def write_container(path: str, table: pa.Table, chunk_rows: list[tuple[int, int]
         "chunks": chunks_meta,
         "extra": extra or {},
     }
-    hjson = json.dumps(header).encode("utf-8")
-    hz = pa.Codec("zstd", compression_level=3).compress(hjson).to_pybytes()
-    tmp = f"{path}.tmp-{os.getpid()}"  # unique per writer: a retried/speculative task must not tear a peer's temp file
-    with open(tmp, "wb") as f:
-        f.write(MAGIC2)
-        f.write(struct.pack("<QQ", len(hz), len(hjson)))
-        f.write(hz)
-        for b in blobs:
-            f.write(b)
-    if validator is not None:
-        try:
-            validator(tmp)
-        except Exception:
-            os.unlink(tmp)
-            raise
-    os.replace(tmp, path)
-    return header
+    return _publish(path, header, blobs, validator)
 
 
-def append_column(path: str, name: str, column, codec: str | None = None,
+def append_column(path: str, dest: str, name: str, column, codec: str | None = None,
                   validator=None) -> dict:
-    """Append a derived column to an existing container WITHOUT
-    re-encoding the existing ones: blob offsets are relative to the
-    blob region, so every existing blob is copied VERBATIM and stays
-    addressable; the new column's chunk blobs land at the end of the
-    region.  Chunk boundaries are taken from the container (the derived
-    column must align row-for-row), chunk min/max stats are written so
-    chunk pruning works on the derived column, and the rewrite is
-    atomic (temp + optional validator + rename) like write_container.
+    """Write the container at ``path`` plus a derived column to the new
+    file ``dest`` WITHOUT re-encoding the existing columns: blob offsets
+    are relative to the blob region, so every existing blob is copied
+    VERBATIM and stays addressable; the new column's chunk blobs land at
+    the end of the region.  Chunk boundaries are taken from the
+    container (the derived column must align row-for-row), chunk min/max
+    stats are written so chunk pruning works on the derived column, and
+    ``dest`` is published like write_container (temp + optional
+    validator + rename); ``path`` is left as it is.
     Reference analog: the post-write index build over already-flushed
     folders, /root/reference/skar/src/build_parquet_idx.rs:19-199 —
     generalized to a queryable column."""
@@ -245,31 +267,16 @@ def append_column(path: str, name: str, column, codec: str | None = None,
         new_blobs.append(enc.blob)
         first_chunk = False
     header["schema"].append([name, str(col.type)])
-    hjson = json.dumps(header).encode("utf-8")
-    hz = pa.Codec("zstd", compression_level=3).compress(hjson).to_pybytes()
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(MAGIC2)
-        f.write(struct.pack("<QQ", len(hz), len(hjson)))
-        f.write(hz)
-        f.write(old_blobs)
-        for b in new_blobs:
-            f.write(b)
-    if validator is not None:
-        try:
-            validator(tmp)
-        except Exception:
-            os.unlink(tmp)
-            raise
-    os.replace(tmp, path)
-    return header
+    return _publish(dest, header, [old_blobs, *new_blobs], validator)
 
 
-def drop_column(path: str, name: str, validator=None) -> dict:
-    """Drop a column and RECLAIM its bytes: surviving blobs are copied
-    verbatim (no re-encode) with offsets re-sequenced, the schema entry
-    and per-chunk metas removed, and the rewrite published atomically
-    like write_container.  Refuses to drop the last column."""
+def drop_column(path: str, dest: str, name: str) -> dict:
+    """Write the container at ``path`` without column ``name`` to the
+    new file ``dest``: surviving blobs are copied verbatim (no
+    re-encode) with offsets re-sequenced, the schema entry and
+    per-chunk metas removed, and ``dest`` published like
+    write_container; the column's bytes are reclaimed once the sweep
+    removes ``path``.  Refuses to drop the last column."""
     header, blob_start = read_header(path)
     names = [n for n, _ in header["schema"]]
     if name not in names:
@@ -289,23 +296,7 @@ def drop_column(path: str, name: str, validator=None) -> dict:
             off += len(b)
         header["chunks"][chunk.index]["columns"] = kept
     header["schema"] = [e for e in header["schema"] if e[0] != name]
-    hjson = json.dumps(header).encode("utf-8")
-    hz = pa.Codec("zstd", compression_level=3).compress(hjson).to_pybytes()
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(MAGIC2)
-        f.write(struct.pack("<QQ", len(hz), len(hjson)))
-        f.write(hz)
-        for b in new_blobs:
-            f.write(b)
-    if validator is not None:
-        try:
-            validator(tmp)
-        except Exception:
-            os.unlink(tmp)
-            raise
-    os.replace(tmp, path)
-    return header
+    return _publish(dest, header, new_blobs, None)
 
 
 def read_header(path: str) -> tuple[dict, int]:

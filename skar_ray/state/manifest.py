@@ -4,7 +4,10 @@ The reference records every flushed folder in an embedded mdbx KV store
 keyed by block range, resuming from the last key at startup
 (/root/reference/skar/src/db/mod.rs:68-86,96-215).  Our analog is a
 directory of one JSON file per partition under ``<out>/_manifest/``,
-written atomically (temp + rename).  A restarted job scans the
+written atomically (temp + rename).  That write is a partition's
+commit: its ``data_file`` names a container published just before under
+a fresh name, and no container file is ever rewritten, so a crash before
+the write leaves the old manifest on its old file.  A restarted job scans the
 directory, treats present+complete rows as done, and filters those
 partitions out of the work set — partition-granular resume with no
 extra database.
@@ -83,24 +86,37 @@ def scan_manifests(out_dir: str) -> dict[int, PartitionManifest]:
 
 
 def sweep_orphans(out_dir: str, live_ids) -> dict[int, PartitionManifest]:
-    """Remove every done partition NOT in ``live_ids`` (container file
-    + manifest).  The rollback-truncation analog shared by encode,
-    compact and the IVF index build (reference:
-    skar/src/skar_runner.rs:160-213): a re-run into an existing store
-    can stop producing some partition ids, and their stale "done"
-    manifests would otherwise be served by every query.  Callers invoke
-    this ONLY after a fully-successful job — a crashed job never
-    sweeps.  Missing files are tolerated (idempotent under races).
-    Returns the live partitions' manifests, as read by the scan."""
+    """Remove the manifest of every done partition NOT in ``live_ids``
+    (a re-run can stop producing some ids, whose stale manifests every
+    query would serve), then every ``.skarc`` in ``out_dir`` that no
+    live manifest references: one a later write superseded (every
+    write publishes a new file and never rewrites one) or one a crashed
+    job published without its manifest.  The rollback-truncation
+    analog shared by every writing job (reference:
+    skar/src/skar_runner.rs:160-213).  Callers invoke this ONLY after a
+    fully-successful job — a crashed job never sweeps, so the
+    pre-crash manifests keep their files.  Missing files are tolerated
+    (idempotent under races).
+
+    Reader window: a query that read a manifest before a job's final
+    sweep and opens that manifest's container after it raises
+    ``FileNotFoundError``; since no file is ever rewritten, it never
+    reads another generation's bytes.  Returns the live partitions'
+    manifests, as read by the scan."""
     live = {int(p) for p in live_ids}
     kept: dict[int, PartitionManifest] = {}
+    doomed = []
     for pid, m in scan_manifests(out_dir).items():
         if pid in live:
             kept[pid] = m
-            continue
-        for p in (os.path.join(out_dir, m.data_file), _path_for(out_dir, pid)):
-            try:
-                os.remove(p)
-            except FileNotFoundError:
-                pass
+        else:
+            doomed.append(_path_for(out_dir, pid))
+    referenced = {m.data_file for m in kept.values()}
+    doomed += [os.path.join(out_dir, fn) for fn in sorted(os.listdir(out_dir))
+               if fn.endswith(".skarc") and fn not in referenced]
+    for p in doomed:
+        try:
+            os.remove(p)
+        except FileNotFoundError:
+            pass
     return kept

@@ -85,11 +85,11 @@ def test_cold_and_cached_plans_write_identical_stores(ray_session, corpus, tmp_p
 
     monkeypatch.setattr(encode_job, "codec_plan", no_plan)
     _encode(corpus, warm)
-    files = sorted(f for f in os.listdir(cold) if f.endswith(".skarc"))
-    assert len(files) > 1 and files == sorted(f for f in os.listdir(warm) if f.endswith(".skarc"))
-    for f in files:
-        with open(os.path.join(cold, f), "rb") as a, open(os.path.join(warm, f), "rb") as b:
-            assert a.read() == b.read(), f
+    files = {d: {p: m.data_file for p, m in manifest.scan_manifests(d).items()} for d in (cold, warm)}
+    assert len(files[cold]) > 1 and files[cold].keys() == files[warm].keys()
+    for pid, f in files[cold].items():
+        with open(os.path.join(cold, f), "rb") as a, open(os.path.join(warm, files[warm][pid]), "rb") as b:
+            assert a.read() == b.read(), pid
     digests = {d: {p: m.content_sha256 for p, m in manifest.scan_manifests(d).items()} for d in (cold, warm)}
     assert digests[cold] == digests[warm]
 
@@ -240,7 +240,8 @@ def test_append_uses_the_plan_only_without_container_sources(ray_session, corpus
         r = run_append_job(str(tmp_path / name), store, base_corpus_path=corpus,
                            target_partition_bytes=TARGET, chunk_target_bytes=1 << 20)
         (pid,) = r["affected_partitions"]
-        header, _ = container.read_header(os.path.join(store, f"part-{pid:06d}.skarc"))
+        header, _ = container.read_header(
+            os.path.join(store, manifest.read_manifest(store, pid).data_file))
         return {cm["name"]: cm for cm in header["chunks"][0]["columns"]}
 
     fresh = append("new", "zz-new/repo")

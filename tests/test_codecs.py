@@ -171,7 +171,7 @@ def test_selector_sample_keeps_perfbench_choices_and_bytes(tmp_path):
     from skar_ray.corpus import CorpusSpec, build_corpus
     from skar_ray.stages.encoder import encode_partition
     from skar_ray.stages.partitioner import assign_pkeys, content_sizes, make_plan
-    from skar_ray.state import container
+    from skar_ray.state import container, manifest
 
     t = build_corpus(CorpusSpec(n_rows=1999, seed=1))
     per_repo = pa.table({"repo": t["repo"], "b": content_sizes(t)}).group_by("repo").aggregate([("b", "sum")])
@@ -181,7 +181,7 @@ def test_selector_sample_keeps_perfbench_choices_and_bytes(tmp_path):
     for pk in sorted(set(t["pkey"].to_pylist())):
         s = encode_partition(t.filter(pc.equal(t["pkey"], pk)), str(tmp_path), 1 << 20)
         total += sum(s.column("enc_bytes").to_pylist())
-        header, _ = container.read_header(str(tmp_path / f"part-{pk:06d}.skarc"))
+        header, _ = container.read_header(str(tmp_path / manifest.read_manifest(str(tmp_path), pk).data_file))
         (chunk,) = header["chunks"]
         for cm in chunk["columns"]:
             codecs.setdefault(cm["name"], []).append(cm["codec"])

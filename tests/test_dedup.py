@@ -368,9 +368,12 @@ def test_keep_list_distributed_matches_driver(docs_ds):
     """The cluster-scale keep path (distributed CC + bucketed anti-join,
     nothing cluster-sized on the driver) must equal the driver-side
     broadcast path on the same pairs."""
+    import ray.data
+
     pairs = dd.minhash_lsh_pairs(docs_ds, threshold=0.7).to_pandas()
     want = dd.dedup_keep_list(docs_ds, pairs)["doc_id"].tolist()
-    got = dd.dedup_keep_list(docs_ds, pairs, distributed_threshold=0)["doc_id"].tolist()
+    kept = dd.dedup_keep_list_distributed(docs_ds, ray.data.from_pandas(pairs[["doc_a", "doc_b"]]))
+    got = kept.to_pandas().sort_values("doc_id")["doc_id"].tolist()
     assert got == want
     assert 0 in got and 100 not in got and 101 not in got
 

@@ -1,5 +1,6 @@
 """Derived-column job: append_column unit, end-to-end derive + query,
-crash-window backfill, partition pruning on the derived column."""
+partition pruning on the derived column, drop_column.  The crash window
+is in test_crash_window.py."""
 
 import os
 import shutil
@@ -34,11 +35,13 @@ def test_append_column_unit(tmp_path):
             "s": pa.array([f"v{i % 7}" for i in range(100)]),
         }
     )
-    p = str(tmp_path / "c.skarc")
-    container.write_container(p, t, chunk_rows=[(0, 60), (60, 40)])
+    src, p = str(tmp_path / "c.skarc"), str(tmp_path / "d.skarc")
+    container.write_container(src, t, chunk_rows=[(0, 60), (60, 40)])
+    before = open(src, "rb").read()
     new = pa.array([i * 3 for i in range(100)], type=pa.int64())
-    hdr = container.append_column(p, "b", new)
+    hdr = container.append_column(src, p, "b", new)
     assert [n for n, _ in hdr["schema"]] == ["a", "s", "b"]
+    assert open(src, "rb").read() == before  # the source is never rewritten
     back = container.read_container(p)
     # existing columns bit-identical (their blobs were copied verbatim)
     assert back.column("a").combine_chunks().equals(t.column("a").combine_chunks())
@@ -54,9 +57,9 @@ def test_append_column_unit(tmp_path):
     sel = container.read_container(p, columns=["b"], dnf=[[("b", ">=", 250)]], apply_dnf=True)
     assert sel.column("b").to_pylist() == [i * 3 for i in range(100) if i * 3 >= 250]
     with pytest.raises(ValueError):
-        container.append_column(p, "b", new)  # duplicate name
+        container.append_column(p, str(tmp_path / "e.skarc"), "b", new)  # duplicate name
     with pytest.raises(ValueError):
-        container.append_column(p, "c", new.slice(0, 10))  # wrong length
+        container.append_column(p, str(tmp_path / "e.skarc"), "c", new.slice(0, 10))  # wrong length
 
 
 def _content_len_fn():
@@ -72,7 +75,7 @@ def _content_len_fn():
 
 def test_derive_job_end_to_end_and_idempotent(store):
     s1 = run_derive_column_job(OUT, "content_len", _content_len_fn(), ["content"])
-    assert s1["partitions"] >= 3 and s1["backfilled"] == 0 and s1["skipped"] == 0
+    assert s1["partitions"] >= 3 and s1["skipped"] == 0
     # the derived column round-trips consistently with its source column
     both = query_encoded(OUT, columns=["content", "content_len"]).to_pandas()
     assert (both["content"].str.len().astype("int64") == both["content_len"]).all()
@@ -83,33 +86,6 @@ def test_derive_job_end_to_end_and_idempotent(store):
     # idempotent: second run skips every partition
     s2 = run_derive_column_job(OUT, "content_len", _content_len_fn(), ["content"])
     assert s2["partitions"] == 0 and s2["skipped"] == s1["partitions"]
-
-
-def test_derive_job_backfills_crash_window(store):
-    from skar_ray.pipelines.derive import _col_accounting
-
-    ms = manifest_mod.scan_manifests(OUT)
-    pid, m = sorted(ms.items())[0]
-    path = os.path.join(OUT, m.data_file)
-    # emulate a crash between container rewrite and manifest update:
-    # the container has the column, the manifest never heard of it
-    hdr, _ = container.read_header(path)
-    _, raw, enc = _col_accounting(hdr, "content_len")
-    del m.columns["content_len"]
-    m.extra["stats"].pop("content_len", None)
-    m.raw_bytes -= raw
-    m.enc_bytes -= enc
-    manifest_mod.write_manifest(OUT, m)
-
-    before = (os.path.getmtime(path), os.path.getsize(path))
-    s = run_derive_column_job(OUT, "content_len", _content_len_fn(), ["content"])
-    assert s["partitions"] == 1 and s["backfilled"] == 1
-    # backfill must NOT rewrite the container
-    assert (os.path.getmtime(path), os.path.getsize(path)) == before
-    m2 = manifest_mod.read_manifest(OUT, pid)
-    assert m2.columns["content_len"]["enc_bytes"] == enc
-    assert "content_len" in m2.extra["stats"]
-    assert m2.raw_bytes == m.raw_bytes + raw and m2.enc_bytes == m.enc_bytes + enc
 
 
 def test_derived_column_prunes_partitions(store):

@@ -499,8 +499,9 @@ def test_mutated_input_reencodes_only_affected_partitions(ray_session, tmp_path)
     # untouched partitions' containers were not rewritten
     after = {f: os.path.getmtime(os.path.join(out, f))
              for f in os.listdir(out) if f.endswith(".skarc")}
+    ms = manifest.scan_manifests(out)
     for pid in skipped.column("partition_id").to_pylist():
-        name = f"part-{pid:06d}.skarc"
+        name = ms[pid].data_file
         assert before[name] == after[name], name
 
     # resumed store == from-scratch encode of the mutated corpus

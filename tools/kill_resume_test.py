@@ -68,7 +68,9 @@ def main() -> int:
     from skar_ray.pipelines.encode_job import run_encode_job
 
     d = ensure_corpus(50000)
-    before = {f: os.path.getmtime(os.path.join(OUT, f)) for f in os.listdir(OUT) if f.endswith(".skarc")}
+    # the partitions the kill left committed; a container it published
+    # without a manifest is swept by the resume, not reused
+    before = {m.data_file: os.path.getmtime(os.path.join(OUT, m.data_file)) for m in partial.values()}
     s = run_encode_job(os.path.join(d, "corpus.parquet"), OUT,
                        target_partition_bytes=8 << 20, chunk_target_bytes=4 << 20, mode="hashed")
     skipped = s.filter(pc.field("skipped")).num_rows
